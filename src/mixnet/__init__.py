@@ -14,12 +14,16 @@ from .degree_dist import (
 )
 from .likelihood import (
     MleReport,
+    RootBracket,
     RootProfile,
     check_theorem1,
     log_likelihood,
     mle_estimate,
+    prefix_estimates,
+    root_bracket,
     root_profile,
     snapshot_log_likelihood,
+    step_estimates,
 )
 from .netmodel import (
     AttachmentRecord,
@@ -41,6 +45,7 @@ __all__ = [
     "GrowingNetwork",
     "MleReport",
     "ModelParams",
+    "RootBracket",
     "RootProfile",
     "SampleLog",
     "SeedSpec",
@@ -57,9 +62,12 @@ __all__ = [
     "log_likelihood",
     "make_rng",
     "mle_estimate",
+    "prefix_estimates",
     "responsibility",
+    "root_bracket",
     "root_profile",
     "snapshot_log_likelihood",
     "stationary_ccdf",
     "stationary_pmf",
+    "step_estimates",
 ]

@@ -19,14 +19,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .degree_dist import (
-    StationaryDistribution,
-    ccdf_from_indegrees,
-    empirical_distribution,
-)
+from .degree_dist import StationaryDistribution, ccdf_from_indegrees
 from .em import EmConfig, em_estimate
 from .ingest import build_replay, load_dataset, replay_to_samplelog
-from .likelihood import mle_estimate, root_profile
+from .likelihood import mle_estimate, prefix_estimates, step_estimates
 from .netmodel import (
     ModelParams,
     SampleLog,
@@ -89,13 +85,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _prefix_trace(sample_log: SampleLog, stride: int, estimator) -> list:
-    rows = []
-    for t in range(stride, sample_log.n_steps + 1, stride):
-        rows.append((t, estimator(sample_log.prefix(t))))
-    return rows
-
-
 def cmd_estimate(args) -> int:
     started = time.time()
     out_dir = _out_dir(args)
@@ -131,20 +120,10 @@ def cmd_estimate(args) -> int:
 
     if args.trace:
         if args.snapshot_mode:
-            # one estimate per step from that step's records alone
-            rows = []
-            for t in range(1, sample_log.n_steps + 1):
-                step = sample_log.prefix(t)
-                single = SampleLog(
-                    step.k[step.step == t], step.e_prev[step.step == t],
-                    step.n_prev[step.step == t], step.step[step.step == t],
-                )
-                if len(single):
-                    rows.append((t, mle_estimate(single).alpha_hat))
+            rows = step_estimates(sample_log)
         else:
-            rows = _prefix_trace(
-                sample_log, args.stride, lambda lg: mle_estimate(lg).alpha_hat
-            )
+            steps = range(args.stride, sample_log.n_steps + 1, args.stride)
+            rows = list(zip(steps, prefix_estimates(sample_log, steps)))
         trace_path = os.path.join(out_dir, "trace.csv")
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)

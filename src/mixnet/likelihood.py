@@ -6,6 +6,13 @@ likelihood is a polynomial in alpha whose roots are ``e/(e - k*n)``.  The
 positive/negative root structure brackets the maximizer; within the bracket
 the log-likelihood is strictly concave, so the estimate is found by
 bisecting the sign of the analytic derivative.
+
+The bracket (largest negative root, smallest positive root) and the count
+of positive roots come from one vectorized O(N) pass over the records
+(``root_bracket``); the prefix and per-step traces reuse that pass for all
+their solves.  ``root_profile``, the exact ``Fraction`` merge of every root
+with its multiplicity, is a diagnostic and test oracle, not on the estimate
+path.
 """
 
 from __future__ import annotations
@@ -122,11 +129,55 @@ def root_profile(log: SampleLog) -> RootProfile:
     return RootProfile(roots=roots, degenerate_count=degenerate)
 
 
-def check_theorem1(profile: RootProfile) -> tuple[bool, str]:
+@dataclass(frozen=True)
+class RootBracket:
+    """The part of the root profile the MLE uses, from one O(N) pass.
+
+    Fields match the ``RootProfile`` properties of the same names, with
+    -inf/+inf where a sign has no root.
+    """
+
+    max_negative: float
+    min_positive: float
+    positive_multiplicity_sum: int
+    degree: int
+
+
+def _signed_roots(log: SampleLog) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's root e/(e - k*n), split by sign and padded with -inf/+inf.
+
+    Counts stay below 2**53, so each float root is the correctly rounded
+    rational; rounding is monotone, so the float extremes equal the exact
+    extremes of ``root_profile``.  Degenerate records (e = k*n) have no
+    root and hold the padding in both arrays.
+    """
+    den = log.e_prev - log.k * log.n_prev
+    root = log.e_prev / np.where(den == 0, 1, den)
+    return np.where(den < 0, root, -np.inf), np.where(den > 0, root, np.inf)
+
+
+def _bracket(negative: np.ndarray, positive: np.ndarray) -> RootBracket:
+    n_positive = int(np.count_nonzero(positive < np.inf))
+    return RootBracket(
+        max_negative=float(negative.max()),
+        min_positive=float(positive.min()),
+        positive_multiplicity_sum=n_positive,
+        degree=n_positive + int(np.count_nonzero(negative > -np.inf)),
+    )
+
+
+def root_bracket(log: SampleLog) -> RootBracket:
+    """Extreme roots and positive-root count of the likelihood polynomial."""
+    if len(log) == 0:
+        raise ValueError("root bracket of an empty log")
+    return _bracket(*_signed_roots(log))
+
+
+def check_theorem1(profile: RootProfile | RootBracket) -> tuple[bool, str]:
     """Bracketing conditions: both root signs present, even positive multiplicity."""
-    if not profile.positive_roots:
+    if not math.isfinite(profile.min_positive):
         return False, "no positive roots"
-    if not profile.negative_roots:
+    if not math.isfinite(profile.max_negative):
         return False, "no negative roots"
     total = profile.positive_multiplicity_sum
     if total % 2 != 0:
@@ -162,46 +213,90 @@ def _derivative(d: np.ndarray, c: np.ndarray, alpha: float) -> float:
     return float((d / (d * alpha + c)).sum())
 
 
-def mle_estimate(log: SampleLog) -> MleReport:
-    """Maximize the log-likelihood over the admissible interval inside (0, 1).
+def _maximize(d: np.ndarray, c: np.ndarray, bracket: RootBracket) -> float:
+    """Bisect the derivative's sign over the bracket intersected with (0, 1).
 
-    The interval is the root bracket intersected with (0, 1), shrunk by a
-    small interior margin; the maximizer is located by bisection on the sign
-    of the derivative, which is monotone by concavity.
+    The interval is shrunk by a small interior margin; the derivative is
+    monotone on it by concavity.
     """
-    if len(log) == 0:
-        raise ValueError("cannot estimate from an empty log")
-    profile = root_profile(log)
-    if profile.degree == 0:
+    if bracket.degree == 0:
         raise NoInformationError("all records are degenerate; likelihood is flat in alpha")
-    satisfied, _ = check_theorem1(profile)
-    a = profile.max_negative
-    b = profile.min_positive
-
-    lo = max(a, 0.0) + INTERIOR_MARGIN
-    hi = min(b, 1.0) - INTERIOR_MARGIN
+    lo = max(bracket.max_negative, 0.0) + INTERIOR_MARGIN
+    hi = min(bracket.min_positive, 1.0) - INTERIOR_MARGIN
     if not lo < hi:
         raise ValueError(f"empty maximization interval ({lo}, {hi})")
 
-    d, c = _slope_intercept(log)
     if _derivative(d, c, lo) <= 0:
-        alpha_hat = lo
-    elif _derivative(d, c, hi) >= 0:
-        alpha_hat = hi
-    else:
-        left, right = lo, hi
-        while right - left > BISECTION_WIDTH:
-            mid = 0.5 * (left + right)
-            if _derivative(d, c, mid) > 0:
-                left = mid
-            else:
-                right = mid
-        alpha_hat = 0.5 * (left + right)
+        return lo
+    if _derivative(d, c, hi) >= 0:
+        return hi
+    left, right = lo, hi
+    while right - left > BISECTION_WIDTH:
+        mid = 0.5 * (left + right)
+        if _derivative(d, c, mid) > 0:
+            left = mid
+        else:
+            right = mid
+    return 0.5 * (left + right)
 
+
+def mle_estimate(log: SampleLog) -> MleReport:
+    """Maximize the log-likelihood over the admissible interval inside (0, 1)."""
+    if len(log) == 0:
+        raise ValueError("cannot estimate from an empty log")
+    bracket = root_bracket(log)
+    d, c = _slope_intercept(log)
+    alpha_hat = _maximize(d, c, bracket)
+    satisfied, _ = check_theorem1(bracket)
     return MleReport(
         alpha_hat=alpha_hat,
-        bracket=(a, b),
+        bracket=(bracket.max_negative, bracket.min_positive),
         theorem1_satisfied=satisfied,
-        positive_multiplicity_parity="even" if profile.positive_multiplicity_sum % 2 == 0 else "odd",
+        positive_multiplicity_parity="even" if bracket.positive_multiplicity_sum % 2 == 0 else "odd",
         log_likelihood_at_max=log_likelihood(log, alpha_hat),
     )
+
+
+def prefix_estimates(log: SampleLog, steps) -> list[float]:
+    """``mle_estimate(log.prefix(t)).alpha_hat`` for each t in ``steps``.
+
+    Coefficients, roots and running brackets are computed once for the
+    whole log, so each prefix costs only its bisection.
+    """
+    d, c = _slope_intercept(log)
+    negative, positive = _signed_roots(log)
+    max_negative = np.maximum.accumulate(negative)
+    min_positive = np.minimum.accumulate(positive)
+    n_positive = np.cumsum(positive < np.inf)
+    degree = n_positive + np.cumsum(negative > -np.inf)
+    estimates = []
+    for stop in np.searchsorted(log.step, steps, side="right").tolist():
+        if stop == 0:
+            raise ValueError("cannot estimate from an empty log")
+        i = stop - 1
+        bracket = RootBracket(float(max_negative[i]), float(min_positive[i]),
+                              int(n_positive[i]), int(degree[i]))
+        estimates.append(_maximize(d[:stop], c[:stop], bracket))
+    return estimates
+
+
+def step_estimates(log: SampleLog) -> list[tuple[int, float]]:
+    """(t, alpha_hat) for each step t, from that step's records alone.
+
+    Steps without records, or whose records are all degenerate (as in the
+    first step from a regular seed such as a complete graph), carry no
+    information on alpha and are skipped.
+    """
+    if len(log) == 0:
+        return []
+    d, c = _slope_intercept(log)
+    negative, positive = _signed_roots(log)
+    starts = (np.flatnonzero(np.diff(log.step)) + 1).tolist()
+    estimates = []
+    for start, stop in zip([0, *starts], [*starts, len(log)]):
+        bracket = _bracket(negative[start:stop], positive[start:stop])
+        if bracket.degree:
+            estimates.append(
+                (int(log.step[start]), _maximize(d[start:stop], c[start:stop], bracket))
+            )
+    return estimates

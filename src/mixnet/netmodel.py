@@ -233,10 +233,14 @@ class SampleLog:
                 raise ValueError("negative in-degree in sample log")
             if (self.e_prev < 1).any():
                 raise ValueError("non-positive e_prev in sample log")
+            if (self.n_prev < 1).any():
+                raise ValueError("non-positive n_prev in sample log")
             if (self.k > self.e_prev).any():
                 raise ValueError("record with k > e_prev in sample log")
             if (np.diff(self.step) < 0).any():
                 raise ValueError("sample log records not in step order")
+            if self.step[0] < 1:
+                raise ValueError("sample log step below 1")
 
     def __len__(self) -> int:
         return len(self.k)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from mixnet import SampleLog, mle_estimate
 from mixnet.cli import main
+from mixnet.likelihood import NoInformationError
 
 
 def read_manifest(out_dir):
@@ -82,8 +84,30 @@ class TestEstimate:
         assert lines[0] == "t,alpha_hat"
         assert len(lines) == 1 + 4  # t = 100, 200, 300, 400
 
+    def test_snapshot_trace(self, sim_dir, tmp_path):
+        out = tmp_path / "est"
+        assert run(["estimate", sim_dir / "samplelog.csv", "--method", "mle",
+                    "--trace", "--snapshot-mode", "--out", out]) == 0
+        log = SampleLog.from_csv(sim_dir / "samplelog.csv")
+        expected = ["t,alpha_hat"]
+        for t in range(1, log.n_steps + 1):
+            single = SampleLog.from_steps([log.step_records(t)])
+            try:
+                expected.append(f"{t},{mle_estimate(single).alpha_hat!r}")
+            except NoInformationError:
+                continue  # step 1 from the complete seed: every k*n = e
+        assert len(expected) == 1 + 399
+        assert (out / "trace.csv").read_text().splitlines() == expected
+
     def test_missing_log_exits_2(self, tmp_path):
         assert run(["estimate", tmp_path / "nope.csv", "--out", tmp_path]) == 2
+
+    def test_zero_n_prev_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("step,k,e_prev,n_prev\n1,1,6,3\n2,0,6,0\n")
+        assert run(["estimate", bad, "--out", tmp_path / "est"]) == 1
+        assert "n_prev" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimate.json").exists()
 
 
 class TestDist:

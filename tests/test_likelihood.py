@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 
 from mixnet import (
     AttachmentRecord,
+    ModelParams,
     SampleLog,
+    SeedSpec,
     check_theorem1,
+    grow_sequence,
     log_likelihood,
+    make_rng,
     mle_estimate,
+    prefix_estimates,
+    root_bracket,
     root_profile,
     snapshot_log_likelihood,
+    step_estimates,
 )
 from mixnet.likelihood import (
     EvaluationError,
@@ -133,6 +140,135 @@ class TestTheorem1:
         )
         ok, detail = check_theorem1(root_profile(log))
         assert not ok and "odd" in detail
+
+
+def with_degenerate_records(log: SampleLog, rng: random.Random) -> SampleLog:
+    """Insert records with e = k*n (no root) at random positions."""
+    rows = list(zip(log.k.tolist(), log.e_prev.tolist(), log.n_prev.tolist()))
+    for _ in range(rng.randint(1, 3)):
+        n, k = rng.randint(3, 20), rng.randint(1, 6)
+        rows.insert(rng.randint(0, len(rows)), (k, k * n, n))
+    k, e, n = zip(*rows)
+    return SampleLog(np.array(k), np.array(e), np.array(n), np.arange(1, len(rows) + 1))
+
+
+def bracket_oracle_logs():
+    """Random logs with duplicates, k=0 and degenerate records, plus grown logs."""
+    rng = random.Random(11)
+    for trial in range(300):
+        log = random_log(rng, max_records=15, pool_bias=trial % 2 == 0,
+                         require_positive_k=False)
+        yield with_degenerate_records(log, rng) if trial % 3 == 0 else log
+    for alpha in (0.0, 1.0):
+        for seed in range(3):
+            _, log = grow_sequence(SeedSpec.complete(4), ModelParams(3, 1, alpha),
+                                   40, make_rng(seed))
+            yield log
+
+
+class TestRootBracket:
+    def test_matches_root_profile(self):
+        for log in bracket_oracle_logs():
+            profile = root_profile(log)
+            bracket = root_bracket(log)
+            assert bracket.max_negative == profile.max_negative
+            assert bracket.min_positive == profile.min_positive
+            assert bracket.positive_multiplicity_sum == profile.positive_multiplicity_sum
+            assert bracket.degree == profile.degree
+            assert check_theorem1(bracket) == check_theorem1(profile)
+
+    def test_degenerate_only(self):
+        bracket = root_bracket(single_record_log(2, 6, 3))
+        assert bracket.degree == 0
+        assert bracket.max_negative == -math.inf and bracket.min_positive == math.inf
+
+    def test_empty_log_rejected(self):
+        with pytest.raises(ValueError):
+            root_bracket(SampleLog.empty())
+
+
+def reference_prefix_trace(log, steps):
+    return [repr(mle_estimate(log.prefix(t)).alpha_hat) for t in steps]
+
+
+class TestPrefixEstimates:
+    def test_matches_per_prefix_mle(self):
+        rng = random.Random(7)
+        for trial in range(40):
+            log = random_log(rng, max_records=25, pool_bias=trial % 2 == 0)
+            if trial % 3 == 0:
+                log = with_degenerate_records(log, rng)
+            steps = range(1, log.n_steps + 1)
+            try:
+                expected = reference_prefix_trace(log, steps)
+            except NoInformationError:
+                continue
+            assert [repr(a) for a in prefix_estimates(log, steps)] == expected
+
+    def test_grown_log(self):
+        _, log = grow_sequence(SeedSpec.complete(4), ModelParams(3, 2, 0.6), 300,
+                               make_rng(3))
+        steps = range(25, 301, 25)
+        got = [repr(a) for a in prefix_estimates(log, steps)]
+        assert got == reference_prefix_trace(log, steps)
+
+    def test_replay_style_empty_steps(self):
+        # steps 2 and 4 have no records, as arrivals citing nothing do
+        log = SampleLog(
+            np.array([1, 0, 3, 2, 0, 1]), np.array([6, 6, 8, 10, 10, 12]),
+            np.array([3, 3, 4, 5, 5, 6]), np.array([1, 1, 3, 5, 5, 6]),
+        )
+        steps = range(1, 7)
+        got = [repr(a) for a in prefix_estimates(log, steps)]
+        assert got == reference_prefix_trace(log, steps)
+
+    def test_same_exceptions_as_mle(self):
+        # step 1 empty; step 2 degenerate only; step 3 informative
+        log = SampleLog(
+            np.array([2, 1]), np.array([6, 6]), np.array([3, 3]), np.array([2, 3]),
+        )
+        for t, error in ((1, ValueError), (2, NoInformationError)):
+            with pytest.raises(error) as expected:
+                mle_estimate(log.prefix(t))
+            with pytest.raises(error) as got:
+                prefix_estimates(log, [t, 3])
+            assert type(got.value) is type(expected.value)
+        assert [repr(a) for a in prefix_estimates(log, [3])] == reference_prefix_trace(log, [3])
+        assert prefix_estimates(log, []) == []
+
+
+def reference_step_trace(log):
+    """(t, repr(alpha_hat)) of mle_estimate on each informative step alone."""
+    rows = []
+    for t in range(1, log.n_steps + 1):
+        records = log.step_records(t)
+        try:
+            rows.append((t, repr(mle_estimate(SampleLog.from_steps([records])).alpha_hat)))
+        except NoInformationError:
+            continue
+        except ValueError:
+            assert not records  # the empty-log error
+    return rows
+
+
+class TestStepEstimates:
+    def test_matches_single_step_mle(self):
+        _, log = grow_sequence(SeedSpec.complete(4), ModelParams(3, 2, 0.6), 200,
+                               make_rng(4))
+        expected = reference_step_trace(log)
+        # the complete seed is regular (k*n = e for every node): step 1 has no roots
+        assert expected[0][0] == 2
+        assert [(t, repr(a)) for t, a in step_estimates(log)] == expected
+
+    def test_skips_empty_and_degenerate_steps(self):
+        # step 2 has no records; step 4 is degenerate (2*3 = 6)
+        log = SampleLog(
+            np.array([1, 3, 0, 2]), np.array([6, 6, 8, 6]), np.array([3, 4, 4, 3]),
+            np.array([1, 1, 3, 4]),
+        )
+        assert [t for t, _ in step_estimates(log)] == [1, 3]
+        assert [(t, repr(a)) for t, a in step_estimates(log)] == reference_step_trace(log)
+        assert step_estimates(SampleLog.empty()) == []
 
 
 class TestMle:

@@ -272,6 +272,12 @@ class TestSampleLog:
                       np.array([2, 1]))
         with pytest.raises(ValueError, match="equal length"):
             SampleLog(np.array([1]), np.array([6, 6]), np.array([3]), np.array([1]))
+        with pytest.raises(ValueError, match="n_prev"):
+            SampleLog(np.array([1, 1]), np.array([6, 6]), np.array([3, 0]),
+                      np.array([1, 2]))
+        with pytest.raises(ValueError, match="step below 1"):
+            SampleLog(np.array([1, 1]), np.array([6, 6]), np.array([3, 3]),
+                      np.array([0, 1]))
 
     def test_from_steps(self):
         log = SampleLog.from_steps([
