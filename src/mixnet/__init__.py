@@ -4,10 +4,7 @@ __version__ = "0.1.0"
 
 from .em import EmConfig, EmTrace, em_estimate, em_step, responsibility
 from .degree_dist import (
-    EmpiricalDistribution,
     StationaryDistribution,
-    empirical_ccdf,
-    empirical_distribution,
     finite_t_pmf,
     stationary_ccdf,
     stationary_pmf,
@@ -41,7 +38,6 @@ __all__ = [
     "AttachmentRecord",
     "EmConfig",
     "EmTrace",
-    "EmpiricalDistribution",
     "GrowingNetwork",
     "MleReport",
     "ModelParams",
@@ -54,8 +50,6 @@ __all__ = [
     "check_theorem1",
     "em_estimate",
     "em_step",
-    "empirical_ccdf",
-    "empirical_distribution",
     "finite_t_pmf",
     "grow_sequence",
     "grow_step",

@@ -87,6 +87,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     started = time.time()
+    if args.trace and args.stride < 1:
+        raise ValueError(f"stride must be >= 1, got {args.stride}")
     out_dir = _out_dir(args)
     sample_log = SampleLog.from_csv(args.log)
     cfg = EmConfig(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .netmodel import GrowingNetwork, ModelParams
+from .netmodel import ModelParams
 
 
 class UnsupportedRegimeError(ValueError):
@@ -282,31 +282,6 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     pp[: len(p)] = p
     qq[: len(q)] = q
     return 0.5 * float(np.abs(pp - qq).sum())
-
-
-@dataclass
-class EmpiricalDistribution:
-    counts: dict  # in-degree -> node count
-    total: int
-
-
-def empirical_distribution(net: GrowingNetwork) -> EmpiricalDistribution:
-    if net.node_count == 0:
-        raise ValueError("empty network")
-    binc = np.bincount(net.in_degree_array())
-    counts = {int(k): int(c) for k, c in enumerate(binc) if c}
-    return EmpiricalDistribution(counts=counts, total=net.node_count)
-
-
-def empirical_ccdf(dist: EmpiricalDistribution) -> dict:
-    """Map k -> fraction of nodes with in-degree >= k, for k = 0 .. max + 1."""
-    k_max = max(dist.counts)
-    ccdf = {}
-    above = 0
-    for k in range(k_max + 1, -1, -1):
-        above += dist.counts.get(k, 0)
-        ccdf[k] = above / dist.total
-    return dict(sorted(ccdf.items()))
 
 
 def ccdf_from_indegrees(in_degrees: np.ndarray, k_max: int) -> np.ndarray:

@@ -6,17 +6,25 @@ attachment, plus ``m_hat`` incoming "response" edges from uniformly chosen
 existing nodes.  Each step logs, for every attachment target, its in-degree
 together with the pre-step edge and node counts; those records are the input
 to the estimators in :mod:`mixnet.likelihood` and :mod:`mixnet.em`.
+
+All growth runs through one loop over an edge-target list (the edge-list
+form of Batagelj & Brandes 2005) that records only the in-degree ``k`` of
+each drawn target; the pre-step counts ``e_prev`` and ``n_prev`` and the
+``step`` column do not depend on the draws and are derived after the loop.
 """
 
 from __future__ import annotations
 
-import csv
 import random
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+
+_CSV_HEADER = ["step", "k", "e_prev", "n_prev"]
+_CSV_CHUNK = 4096  # rows per write: bounds the Python objects alive at once
 
 
 class StructuralError(ValueError):
@@ -111,34 +119,26 @@ class GrowingNetwork:
     """
 
     in_degree: list = field(default_factory=list)
-    edge_count: int = 0
-    time: int = 0
     edges: list | None = None
-    labels: list = field(default_factory=list)
     _edge_targets: list = field(default_factory=list)
 
     @property
     def node_count(self) -> int:
         return len(self.in_degree)
 
+    @property
+    def edge_count(self) -> int:
+        return len(self._edge_targets)
+
     @classmethod
     def from_seed(cls, seed: SeedSpec, keep_edges: bool = False) -> "GrowingNetwork":
         index = {label: i for i, label in enumerate(seed.nodes)}
-        net = cls(
-            in_degree=[0] * len(seed.nodes),
-            edges=[] if keep_edges else None,
-            labels=list(seed.nodes),
-        )
-        for u, v in seed.edges:
-            net._add_edge(index[u], index[v])
-        return net
-
-    def _add_edge(self, src: int, dst: int) -> None:
-        self.in_degree[dst] += 1
-        self._edge_targets.append(dst)
-        self.edge_count += 1
-        if self.edges is not None:
-            self.edges.append((src, dst))
+        pairs = [(index[u], index[v]) for u, v in seed.edges]
+        in_degree = [0] * len(seed.nodes)
+        for _, v in pairs:
+            in_degree[v] += 1
+        return cls(in_degree=in_degree, edges=pairs if keep_edges else None,
+                   _edge_targets=[v for _, v in pairs])
 
     def in_degree_array(self) -> np.ndarray:
         return np.asarray(self.in_degree, dtype=np.int64)
@@ -155,56 +155,85 @@ def attachment_probability(k: int, e_prev: int, n_prev: int, alpha: float) -> fl
     return alpha * (k / e_prev - 1 / n_prev) + 1 / n_prev
 
 
+def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
+          rng: random.Random) -> "SampleLog":
+    """Advance ``net`` by ``steps`` steps in place; return their records.
+
+    Rejection from the full mixture conditioned on "not chosen yet" equals
+    sequential renormalized draws without replacement.  With fewer than m
+    (m_hat) nodes, a step attaches to all of them (warm-up clipping).
+    """
+    m, m_hat, alpha = params.m, params.m_hat, params.alpha
+    n0, e0 = net.node_count, net.edge_count
+    if n0 < 1:
+        raise StructuralError("network has no candidate targets")
+    if e0 < 1:
+        raise StructuralError("network has no edges; attachment weights undefined")
+    # at alpha=1 without response edges only nodes of positive in-degree can
+    # be drawn, so a step needing more distinct targets would never end
+    if steps and alpha == 1.0 and m_hat == 0:
+        need, have = min(m, n0 + steps - 1), sum(d > 0 for d in net.in_degree)
+        if need > have:
+            raise StructuralError(f"alpha=1 with m_hat=0 needs {need} nodes of positive "
+                                  f"in-degree, the network has {have}")
+
+    in_degree = net.in_degree
+    targets = net._edge_targets
+    edges = net.edges
+    draw = rng.random
+    ks: list[int] = []
+    record = ks.append
+    for n_prev in range(n0, n0 + steps):
+        e_prev = len(targets)
+        chosen: set[int] = set()
+        for _ in range(min(m, n_prev)):
+            while True:
+                if draw() < alpha:
+                    v = targets[int(draw() * e_prev)]
+                else:
+                    v = int(draw() * n_prev)
+                if v not in chosen:
+                    break
+            chosen.add(v)
+            record(in_degree[v])
+        sources: set[int] = set()
+        n_sources = min(m_hat, n_prev)
+        while len(sources) < n_sources:
+            sources.add(int(draw() * n_prev))
+
+        # the new node's id is n_prev; its out-edges precede its response edges
+        for v in chosen:
+            in_degree[v] += 1
+        in_degree.append(n_sources)
+        targets.extend(chosen)
+        targets.extend([n_prev] * n_sources)
+        if edges is not None:
+            edges.extend([(n_prev, v) for v in chosen])
+            edges.extend([(s, n_prev) for s in sources])
+
+    n_prev = np.arange(n0, n0 + steps, dtype=np.int64)
+    per_step = np.minimum(m, n_prev)
+    added = per_step + np.minimum(m_hat, n_prev)
+    e_prev = e0 + np.cumsum(added) - added
+    if len(in_degree) != n0 + steps or len(targets) != e0 + added.sum():
+        raise RuntimeError("growth loop broke the per-step node or edge budget")
+    return SampleLog(
+        ks,
+        np.repeat(e_prev, per_step),
+        np.repeat(n_prev, per_step),
+        np.repeat(np.arange(1, steps + 1), per_step),
+    )
+
+
 def grow_step(
     net: GrowingNetwork, params: ModelParams, rng: random.Random
 ) -> tuple[GrowingNetwork, list[AttachmentRecord]]:
     """Advance the network by one step, mutating ``net`` in place.
 
     Returns the network and the multiset of attachment records for the m
-    targets (response edges are not logged).  Target draws use the pre-step
-    snapshot throughout; rejection from the full mixture conditioned on
-    "not chosen yet" equals sequential renormalized draws without
-    replacement.
+    targets (response edges are not logged).
     """
-    m, m_hat, alpha = params.m, params.m_hat, params.alpha
-    n_prev = net.node_count
-    e_prev = net.edge_count
-    if n_prev < 1:
-        raise StructuralError("network has no candidate targets")
-    if e_prev < 1:
-        raise StructuralError("network has no edges; attachment weights undefined")
-    # warm-up clipping: with fewer than m (m_hat) nodes, attach to all of them
-    m = min(m, n_prev)
-    m_hat = min(m_hat, n_prev)
-
-    in_degree = net.in_degree
-    edge_targets = net._edge_targets
-    chosen: set[int] = set()
-    records = []
-    for _ in range(m):
-        while True:
-            if rng.random() < alpha:
-                v = edge_targets[int(rng.random() * e_prev)]
-            else:
-                v = int(rng.random() * n_prev)
-            if v not in chosen:
-                break
-        chosen.add(v)
-        records.append(AttachmentRecord(in_degree[v], e_prev, n_prev))
-
-    sources: set[int] = set()
-    while len(sources) < m_hat:
-        sources.add(int(rng.random() * n_prev))
-
-    new_id = n_prev
-    net.in_degree.append(0)
-    net.labels.append(f"t{net.time + 1}")
-    for v in chosen:
-        net._add_edge(new_id, v)
-    for s in sources:
-        net._add_edge(s, new_id)
-    net.time += 1
-    return net, records
+    return net, list(_grow(net, params, 1, rng).records())
 
 
 @dataclass
@@ -237,6 +266,10 @@ class SampleLog:
                 raise ValueError("non-positive n_prev in sample log")
             if (self.k > self.e_prev).any():
                 raise ValueError("record with k > e_prev in sample log")
+            # the root denominators e - k*n and the float roots e/(e - k*n)
+            # are exact only while e*n (hence k*n) stays below 2**53
+            if (self.e_prev > (2**53 - 1) // self.n_prev).any():
+                raise ValueError("record counts out of range: e_prev * n_prev must be below 2**53")
             if (np.diff(self.step) < 0).any():
                 raise ValueError("sample log records not in step order")
             if self.step[0] < 1:
@@ -287,31 +320,33 @@ class SampleLog:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "k", "e_prev", "n_prev"])
-            for s, k, e, n in zip(self.step, self.k, self.e_prev, self.n_prev):
-                writer.writerow([int(s), int(k), int(e), int(n)])
+            fh.write(",".join(_CSV_HEADER) + "\r\n")
+            for i in range(0, len(self), _CSV_CHUNK):
+                cols = [a[i:i + _CSV_CHUNK].tolist()
+                        for a in (self.step, self.k, self.e_prev, self.n_prev)]
+                fh.write("".join(map("%d,%d,%d,%d\r\n".__mod__, zip(*cols))))
 
     @classmethod
     def from_csv(cls, path) -> "SampleLog":
-        k, e, n, s = [], [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["step", "k", "e_prev", "n_prev"]:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            if header != _CSV_HEADER:
                 raise ValueError(f"{path}: unexpected sample log header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    s.append(int(row[0]))
-                    k.append(int(row[1]))
-                    e.append(int(row[2]))
-                    n.append(int(row[3]))
-                except (ValueError, IndexError) as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed row {row}") from exc
-        return cls(np.array(k, dtype=np.int64), np.array(e, dtype=np.int64),
-                   np.array(n, dtype=np.int64), np.array(s, dtype=np.int64))
+            body = fh.tell()
+            if not fh.read(1):
+                return cls.empty()  # header only, which np.loadtxt would warn about
+            fh.seek(body)
+            try:
+                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed row: {exc}") from exc
+        if rows.size == 0:  # blank lines only
+            return cls.empty()
+        if rows.shape[1] != len(_CSV_HEADER):
+            raise ValueError(f"{path}: malformed row: {rows.shape[1]} columns, "
+                             f"expected {len(_CSV_HEADER)}")
+        step, k, e_prev, n_prev = rows.T.copy()
+        return cls(k, e_prev, n_prev, step)
 
 
 def grow_sequence(
@@ -326,17 +361,7 @@ def grow_sequence(
         raise ValueError("steps must be >= 0")
     seed.validate(params)
     net = GrowingNetwork.from_seed(seed, keep_edges=keep_edges)
-    n0 = net.node_count
-    expected_edges = net.edge_count
-    per_step = []
-    for t in range(1, steps + 1):
-        n_prev = net.node_count
-        _, records = grow_step(net, params, rng)
-        per_step.append(records)
-        expected_edges += min(params.m, n_prev) + min(params.m_hat, n_prev)
-        assert net.node_count == n0 + t
-        assert net.edge_count == expected_edges
-    return net, SampleLog.from_steps(per_step)
+    return net, _grow(net, params, steps, rng)
 
 
 def make_rng(seed: int, stream: int = 0) -> random.Random:

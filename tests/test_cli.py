@@ -102,6 +102,26 @@ class TestEstimate:
     def test_missing_log_exits_2(self, tmp_path):
         assert run(["estimate", tmp_path / "nope.csv", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_1_exits_1(self, sim_dir, tmp_path, capsys, stride):
+        out = tmp_path / "est"
+        assert run(["estimate", sim_dir / "samplelog.csv", "--trace", "--stride", stride,
+                    "--out", out]) == 1
+        assert "stride must be >= 1" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("row,message", [
+        ("1,3000000000,4000000000,4000000000", "2**53"),
+        ("1,1,99999999999999999999999,3", "malformed row"),
+    ])
+    def test_out_of_range_counts_exit_1(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"step,k,e_prev,n_prev\n{row}\n")
+        assert run(["estimate", bad, "--out", tmp_path / "est"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mixnet: error:") and message in err
+        assert "Traceback" not in err
+
     def test_zero_n_prev_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("step,k,e_prev,n_prev\n1,1,6,3\n2,0,6,0\n")

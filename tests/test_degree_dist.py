@@ -9,8 +9,6 @@ from mixnet import (
     ModelParams,
     SeedSpec,
     StationaryDistribution,
-    empirical_ccdf,
-    empirical_distribution,
     finite_t_pmf,
     grow_sequence,
     make_rng,
@@ -192,22 +190,17 @@ class TestEmpirical:
             SeedSpec.complete(4), ModelParams(m=2, m_hat=1, alpha=0.5),
             200, make_rng(0),
         )
-        dist = empirical_distribution(net)
-        assert dist.total == net.node_count
-        assert sum(dist.counts.values()) == net.node_count
-        ccdf = empirical_ccdf(dist)
+        degrees = net.in_degree_array()
+        ccdf = ccdf_from_indegrees(degrees, int(degrees.max()) + 1)
         assert ccdf[0] == 1.0
-        values = [ccdf[k] for k in sorted(ccdf)]
-        assert all(b <= a for a, b in zip(values, values[1:]))
-        assert ccdf[max(ccdf)] == 0.0
+        assert (np.diff(ccdf) <= 0).all()
+        assert ccdf[-1] == 0.0
+        assert ccdf[-2] == np.count_nonzero(degrees == degrees.max()) / net.node_count
 
     def test_ccdf_pinned_small(self):
         # degrees [0, 1, 1, 3]: ccdf(1) = 3/4, ccdf(2) = 1/4, ccdf(4) = 0
-        from mixnet.degree_dist import EmpiricalDistribution
-
-        dist = EmpiricalDistribution(counts={0: 1, 1: 2, 3: 1}, total=4)
-        ccdf = empirical_ccdf(dist)
-        assert ccdf == {0: 1.0, 1: 0.75, 2: 0.25, 3: 0.25, 4: 0.0}
+        ccdf = ccdf_from_indegrees(np.array([0, 1, 1, 3]), 4)
+        assert ccdf.tolist() == [1.0, 0.75, 0.25, 0.25, 0.0]
 
     def test_ccdf_from_indegrees_matches_dict(self):
         degrees = np.array([0, 1, 1, 3])

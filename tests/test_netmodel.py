@@ -1,7 +1,9 @@
 """Unit tests for the growth model and sample log."""
 
+import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +215,48 @@ class TestGrowSequence:
             grow_sequence(SeedSpec.complete(4), ModelParams(m=1, m_hat=0, alpha=0.5),
                           -1, make_rng(0))
 
+    def test_pinned_digest(self):
+        # sha256 of k, e_prev and the final in-degrees as little-endian int64,
+        # taken from the per-step implementation this kernel replaced
+        with pytest.warns(UserWarning):
+            net, log = grow_sequence(SeedSpec.complete(3), ModelParams(m=5, m_hat=3, alpha=0.6),
+                                     2000, make_rng(0))
+        h = hashlib.sha256()
+        for a in (log.k, log.e_prev, net.in_degree_array()):
+            h.update(a.astype("<i8").tobytes())
+        assert h.hexdigest() == (
+            "b1523b7f6fd8a3c83396e2fd7651d51e76092cbe4b9db953eba86d1ce5e8db6a")
+
+    @pytest.mark.parametrize("alpha,m,m_hat", [
+        (0.0, 5, 0), (0.0, 5, 3), (0.6, 5, 0), (0.6, 5, 3), (1.0, 3, 0), (1.0, 5, 3),
+    ])
+    def test_matches_repeated_grow_step(self, alpha, m, m_hat):
+        # from K3 with m=5 (m_hat=3) the first steps clip to the existing nodes
+        seed, params = SeedSpec.complete(3), ModelParams(m=m, m_hat=m_hat, alpha=alpha)
+        rng = make_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            whole, log = grow_sequence(seed, params, 300, rng, keep_edges=True)
+        stepped = GrowingNetwork.from_seed(seed, keep_edges=True)
+        step_rng = make_rng(5)
+        records = []
+        for _ in range(300):
+            records.extend(grow_step(stepped, params, step_rng)[1])
+        assert records == list(log.records())
+        assert stepped.in_degree == whole.in_degree
+        assert stepped.edges == whole.edges
+        assert step_rng.getstate() == rng.getstate()
+
+    def test_pure_preferential_without_responses_needs_enough_targets(self):
+        # alpha=1, m_hat=0: the 3 seed nodes are the only ones ever drawable,
+        # so m=5 would loop forever from step 2 on
+        params = ModelParams(m=5, m_hat=0, alpha=1.0)
+        with pytest.warns(UserWarning), pytest.raises(StructuralError, match="positive"):
+            grow_sequence(SeedSpec.complete(3), params, 2, make_rng(0))
+        with pytest.warns(UserWarning):
+            net, log = grow_sequence(SeedSpec.complete(3), params, 1, make_rng(0))
+        assert len(log) == 3
+
 
 class TestSampleLog:
     def make_log(self):
@@ -227,6 +271,8 @@ class TestSampleLog:
         log = self.make_log()
         path = tmp_path / "log.csv"
         log.to_csv(path)
+        assert path.read_bytes() == (b"step,k,e_prev,n_prev\r\n1,1,6,3\r\n1,0,6,3\r\n"
+                                     b"2,2,9,4\r\n2,3,9,4\r\n")
         back = SampleLog.from_csv(path)
         assert np.array_equal(back.k, log.k)
         assert np.array_equal(back.e_prev, log.e_prev)
@@ -243,6 +289,29 @@ class TestSampleLog:
         path = tmp_path / "bad.csv"
         path.write_text("step,k,e_prev,n_prev\n1,x,3,4\n")
         with pytest.raises(ValueError, match="malformed"):
+            SampleLog.from_csv(path)
+
+    def test_from_csv_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("step,k,e_prev,n_prev\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = SampleLog.from_csv(path)
+        assert len(log) == 0 and log.n_steps == 0
+
+    def test_from_csv_skips_blank_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("step,k,e_prev,n_prev\n1,1,6,3\n\n2,0,9,4\n")
+        log = SampleLog.from_csv(path)
+        assert np.array_equal(log.k, [1, 0])
+        assert np.array_equal(log.n_prev, [3, 4])
+
+    @pytest.mark.parametrize("row", ["1,1,6", "1,1,6,3,9", "1,1,99999999999999999999999,3",
+                                     "1,1.5,6,3", "1,1,6,3 # note"])
+    def test_from_csv_rejects_bad_columns_and_values(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"step,k,e_prev,n_prev\n{row}\n")
+        with pytest.raises(ValueError, match="malformed row"):
             SampleLog.from_csv(path)
 
     def test_prefix(self):
@@ -278,6 +347,9 @@ class TestSampleLog:
         with pytest.raises(ValueError, match="step below 1"):
             SampleLog(np.array([1, 1]), np.array([6, 6]), np.array([3, 3]),
                       np.array([0, 1]))
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            SampleLog(np.array([1]), np.array([2**27]), np.array([2**26]), np.array([1]))
+        SampleLog(np.array([1]), np.array([2**27 - 1]), np.array([2**26]), np.array([1]))
 
     def test_from_steps(self):
         log = SampleLog.from_steps([
@@ -301,6 +373,16 @@ class TestEdgeListIO:
         write_edge_list(net, path)
         back = read_seed_spec(path)
         assert len(back.edges) == net.edge_count
+
+    def test_pinned_edge_list(self, tmp_path):
+        # the bytes --export-graph wrote before the growth loop was merged
+        with pytest.warns(UserWarning):
+            net, _ = grow_sequence(SeedSpec.complete(3), ModelParams(m=5, m_hat=3, alpha=0.6),
+                                   500, make_rng(4), keep_edges=True)
+        path = tmp_path / "graph.edgelist"
+        write_edge_list(net, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "386268ef01cca1a02d2a4b755186997b212870db02bab213e2dddfd81e0c6efa")
 
     def test_write_requires_edges(self):
         net, _ = grow_sequence(SeedSpec.complete(3), ModelParams(m=1, m_hat=0, alpha=0.5),
