@@ -204,6 +204,8 @@ def cmd_dist(args) -> int:
 
 def cmd_cite(args) -> int:
     started = time.time()
+    if args.k_max < 0:
+        raise ValueError("k-max must be >= 0 (0: data max)")
     out_dir = _out_dir(args)
     ds = load_dataset(args.edges, args.dates)
     cutoff = datetime.date.fromisoformat(args.cutoff)
@@ -222,17 +224,15 @@ def cmd_cite(args) -> int:
         replay.sample_log,
         EmConfig(epsilon=args.epsilon, keep_zero_indegree=args.keep_zero_indegree_em),
     )
-    citations_per_arrival = [len(c) for _, c in seq.arrivals]
     estimates = {
         "mle": mle_report.to_dict(),
         "em": {
             "alpha_hat": em_trace.final_alpha,
             "converged": em_trace.converged,
         },
-        "mean_citations_per_arrival": float(np.mean(citations_per_arrival))
-        if citations_per_arrival else 0.0,
-        "median_citations_per_arrival": float(np.median(citations_per_arrival))
-        if citations_per_arrival else 0.0,
+        # the estimates above need records, hence at least one arrival
+        "mean_citations_per_arrival": float(np.mean(replay.citations_per_step)),
+        "median_citations_per_arrival": float(np.median(replay.citations_per_step)),
     }
     est_path = os.path.join(out_dir, "estimates.json")
     with open(est_path, "w") as fh:

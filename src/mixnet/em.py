@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import log_likelihood
+from .likelihood import _slope_intercept, _sum_log_factors
 from .netmodel import AttachmentRecord, SampleLog
 
 #: a decrease of the objective beyond this slack indicates a bug
@@ -47,24 +47,19 @@ def responsibility(record: AttachmentRecord, alpha: float) -> float:
     return pref / (pref + rand)
 
 
-def _responsibilities(log: SampleLog, alpha: float) -> np.ndarray:
+def em_step(log: SampleLog, alpha: float) -> float:
+    """One update: the mean responsibility over all records."""
+    if len(log) == 0:
+        raise ValueError("EM step on an empty log")
     pref = log.k / log.e_prev * alpha
-    rand = (1.0 - alpha) / log.n_prev
-    total = pref + rand
+    total = pref + (1.0 - alpha) / log.n_prev
     if (total <= 0).any():
         i = int(np.argmax(total <= 0))
         raise ValueError(
             f"zero mixture density at alpha={alpha} for record {i} "
             f"(k={log.k[i]}, e_prev={log.e_prev[i]}, n_prev={log.n_prev[i]})"
         )
-    return pref / total
-
-
-def em_step(log: SampleLog, alpha: float) -> float:
-    """One update: the mean responsibility over all records."""
-    if len(log) == 0:
-        raise ValueError("EM step on an empty log")
-    return float(_responsibilities(log, alpha).mean())
+    return float((pref / total).mean())
 
 
 @dataclass
@@ -86,7 +81,9 @@ def em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:
 
     Records with k = 0 are dropped by default (they carry no preferential
     mass and their responsibility is identically 0); set
-    ``cfg.keep_zero_indegree`` to include them.
+    ``cfg.keep_zero_indegree`` to include them.  The per-record coefficients
+    are computed once; each iteration does the arithmetic of ``em_step`` and
+    ``log_likelihood`` on them.
     """
     if len(log) == 0:
         raise ValueError("cannot estimate from an empty log")
@@ -95,13 +92,18 @@ def em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:
         if len(log) == 0:
             raise ValueError("log contains only zero-in-degree records")
 
+    ke = log.k / log.e_prev
+    n_prev = log.n_prev.astype(np.float64)
+    d, c = _slope_intercept(log)
     trace = EmTrace()
     alpha = cfg.alpha_init
-    prev_loglik = log_likelihood(log, alpha)
+    prev_loglik = _sum_log_factors(log, d * alpha + c, alpha)
     trace.iterations.append((alpha, prev_loglik))
     for _ in range(cfg.max_iter):
-        new_alpha = em_step(log, alpha)
-        loglik = log_likelihood(log, new_alpha)
+        # the mixture densities are the factors the objective at alpha checked
+        pref = ke * alpha
+        new_alpha = float((pref / (pref + (1.0 - alpha) / n_prev)).mean())
+        loglik = _sum_log_factors(log, d * new_alpha + c, new_alpha)
         if loglik < prev_loglik - MONOTONICITY_SLACK:
             raise RuntimeError(
                 f"EM objective decreased from {prev_loglik} to {loglik}; "

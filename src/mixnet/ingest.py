@@ -3,15 +3,22 @@
 The dataset is a SNAP-style edge file (citing cited) plus a dates file
 (id<TAB>YYYY-MM-DD).  Papers dated up to a cutoff, together with the papers
 they cite, form the seed; the remaining dated papers arrive one per step in
-date order and their citations become attachment records against the
+(date, id) order and their citations become attachment records against the
 pre-arrival network snapshot.
+
+Paper ids are interned once into integer codes in string order; cleaning
+and ordering are then masks and sorts on numpy columns.  A record's k is
+the target's seed in-degree plus its earlier citations; ``n_prev`` at step
+t counts the nodes whose entry step is below t (0 for seed nodes, else the
+earlier of the node's arrival and its first citation).
 """
 
 from __future__ import annotations
 
 import datetime
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,93 +31,109 @@ class ParseError(ValueError):
     pass
 
 
+def _read_pairs(path, expected: str, dated: bool = False) -> tuple[list, list]:
+    """The two fields of each data line (not blank, not '#'), as two lists.
+
+    The first line without two fields, or (if ``dated``) whose second field
+    is not an ISO date, raises ParseError; the second fields become dates.
+    """
+    with open(path) as fh:
+        lines = [line.strip() for line in fh.read().split("\n")]
+    rows = [line for line in lines if line and line[0] != "#"]
+    counts = np.fromiter(map(len, map(str.split, rows)), dtype=np.int64, count=len(rows))
+    bad = min(np.flatnonzero(counts != 2).tolist(), default=len(rows))
+    fields = " ".join(rows[:bad]).split()
+    first, second = fields[0::2], fields[1::2]
+    error, cause = (f"expected '{expected}', got {rows[bad]!r}" if bad < len(rows) else None), None
+    for j, text in enumerate(second if dated else ()):
+        try:
+            second[j] = datetime.date.fromisoformat(text)
+        except ValueError as exc:
+            bad, error, cause = j, f"bad date {text!r}", exc
+            break
+    if error is not None:
+        number = [i for i, line in enumerate(lines, start=1) if line and line[0] != "#"][bad]
+        raise ParseError(f"{path}:{number}: {error}") from cause
+    return first, second
+
+
 @dataclass
 class CitationDataset:
-    edges: list  # (citing, cited) pairs, cleaned
+    labels: list  # paper ids in string order; a paper's code is its index
+    day: np.ndarray  # date ordinal per code, -1 when undated
+    citing: np.ndarray  # cleaned citation pairs as codes, in file order
+    cited: np.ndarray
     dates: dict  # paper id -> datetime.date
     duplicate_edges_dropped: int = 0
     self_citations_dropped: int = 0
     undated_citing_dropped: int = 0
 
+    @cached_property
+    def edges(self) -> list:
+        """(citing, cited) id pairs, cleaned, in file order."""
+        ids = self.labels
+        return [(ids[u], ids[v]) for u, v in zip(self.citing.tolist(), self.cited.tolist())]
+
     @property
     def paper_count(self) -> int:
-        papers = set()
-        for u, v in self.edges:
-            papers.add(u)
-            papers.add(v)
-        return len(papers)
+        return len(np.union1d(self.citing, self.cited))
 
     @property
     def citation_count(self) -> int:
-        return len(self.edges)
+        return len(self.citing)
 
 
 def load_dataset(edge_path, dates_path) -> CitationDataset:
-    """Parse edge and date files; '#' lines are comments.
+    """Parse edge and date files ('#' lines are comments) and clean the pairs.
 
-    Self-citations and duplicate pairs are dropped with counts; edges whose
-    citing paper has no date (so it cannot be placed in the sequence) are
-    dropped with a warning unless the citing paper is itself cited somewhere,
-    in which case it survives as a cited-only node.
+    Self-citations, citations from undated papers (which cannot be placed in
+    the sequence) and repeated pairs are dropped, with counts and warnings.
     """
-    dates: dict = {}
-    with open(dates_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{dates_path}:{lineno}: expected 'id date', got {line!r}")
-            pid, datestr = parts
-            try:
-                date = datetime.date.fromisoformat(datestr)
-            except ValueError as exc:
-                raise ParseError(f"{dates_path}:{lineno}: bad date {datestr!r}") from exc
-            dates[pid] = date
-
-    edges = []
-    seen = set()
-    dup = selfcite = undated = 0
-    with open(edge_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{edge_path}:{lineno}: expected 'citing cited', got {line!r}")
-            u, v = parts
-            if u == v:
-                selfcite += 1
-                continue
-            if (u, v) in seen:
-                dup += 1
-                continue
-            if u not in dates:
-                undated += 1
-                continue
-            seen.add((u, v))
-            edges.append((u, v))
-    if dup:
-        log.warning("dropped %d duplicate citation pairs", dup)
-    if selfcite:
-        log.warning("dropped %d self-citations", selfcite)
-    if undated:
-        log.warning("dropped %d citations from papers without a date", undated)
-    return CitationDataset(
-        edges=edges,
-        dates=dates,
-        duplicate_edges_dropped=dup,
-        self_citations_dropped=selfcite,
-        undated_citing_dropped=undated,
-    )
+    dates = dict(zip(*_read_pairs(dates_path, "id date", dated=True)))
+    citing, cited = _read_pairs(edge_path, "citing cited")
+    labels = sorted(set(citing).union(cited, dates))
+    index = {label: i for i, label in enumerate(labels)}
+    u, v = np.fromiter(map(index.__getitem__, citing + cited), dtype=np.int64,
+                       count=2 * len(citing)).reshape(2, -1)
+    day = np.full(len(labels), -1, dtype=np.int64)
+    day[[index[p] for p in dates]] = [d.toordinal() for d in dates.values()]
+    # self-citations first, then every pair from an undated paper, then repeats
+    selfcite = u == v
+    undated = ~selfcite & (day[u] < 0)
+    candidates = np.flatnonzero(~selfcite & ~undated)
+    _, first = np.unique(u[candidates] * len(labels) + v[candidates], return_index=True)
+    kept = np.sort(candidates[first])
+    dup, selfcite, undated = len(candidates) - len(kept), int(selfcite.sum()), int(undated.sum())
+    for count, what in ((dup, "duplicate citation pairs"), (selfcite, "self-citations"),
+                        (undated, "citations from papers without a date")):
+        if count:
+            log.warning("dropped %d %s", count, what)
+    return CitationDataset(labels, day, u[kept], v[kept], dates, dup, selfcite, undated)
 
 
 @dataclass
 class ReplaySequence:
-    seed: SeedSpec
-    arrivals: list  # (paper id, [cited ids]) in arrival order
+    labels: list  # the dataset's paper ids, indexed by code
+    seed_nodes: np.ndarray  # codes, ascending
+    seed_citing: np.ndarray  # seed edges, by citing code, then in file order
+    seed_cited: np.ndarray
+    arrival_papers: np.ndarray  # codes in arrival order; paper i arrives at step i+1
+    step: np.ndarray  # arrival step of each arrival citation, ascending
+    cited: np.ndarray  # the cited code; file order within a step
+
+    @cached_property
+    def seed(self) -> SeedSpec:
+        ids = self.labels
+        return SeedSpec(tuple(ids[p] for p in self.seed_nodes.tolist()), tuple(
+            (ids[u], ids[v]) for u, v in zip(self.seed_citing.tolist(), self.seed_cited.tolist())))
+
+    @cached_property
+    def arrivals(self) -> list:
+        """(paper id, [cited ids]) in arrival order."""
+        ids, steps = self.labels, np.arange(2, len(self.arrival_papers) + 1)
+        groups = np.split(self.cited, np.searchsorted(self.step, steps))
+        return [(ids[p], [ids[v] for v in c.tolist()])
+                for p, c in zip(self.arrival_papers.tolist(), groups)]
 
 
 def build_replay(ds: CitationDataset, seed_cutoff: datetime.date) -> ReplaySequence:
@@ -119,32 +142,26 @@ def build_replay(ds: CitationDataset, seed_cutoff: datetime.date) -> ReplaySeque
     Seed nodes are the papers dated at or before the cutoff plus everything
     they cite; seed edges are the citations among them made by those dated
     papers.  Arrivals are the remaining dated papers that appear in the edge
-    list, ascending by (date, id) -- the id tie-break makes the order
-    deterministic.
+    list, ascending by (date, id): the id tie-break makes the order unique.
     """
-    cites: dict = {}
-    papers = set()
-    for u, v in ds.edges:
-        cites.setdefault(u, []).append(v)
-        papers.add(u)
-        papers.add(v)
-
-    seed_papers = {p for p in papers if p in ds.dates and ds.dates[p] <= seed_cutoff}
-    if not seed_papers:
+    n = len(ds.labels)
+    dated = (ds.day >= 0) & (np.bincount(np.concatenate([ds.citing, ds.cited]), minlength=n) > 0)
+    seed_paper = dated & (ds.day <= seed_cutoff.toordinal())
+    if not seed_paper.any():
         raise ValueError(f"no papers dated at or before {seed_cutoff}")
-    seed_nodes = set(seed_papers)
-    for p in seed_papers:
-        seed_nodes.update(cites.get(p, []))
-    seed_edges = [(u, v) for u in sorted(seed_papers) for v in cites.get(u, [])]
-
-    arrivals = sorted(
-        (p for p in papers if p in ds.dates and p not in seed_nodes and ds.dates[p] > seed_cutoff),
-        key=lambda p: (ds.dates[p], p),
-    )
-    return ReplaySequence(
-        seed=SeedSpec(tuple(sorted(seed_nodes)), tuple(seed_edges)),
-        arrivals=[(p, cites.get(p, [])) for p in arrivals],
-    )
+    from_seed = np.flatnonzero(seed_paper[ds.citing])
+    from_seed = from_seed[np.argsort(ds.citing[from_seed], kind="stable")]
+    seed_node = seed_paper.copy()
+    seed_node[ds.cited[from_seed]] = True
+    arrival_papers = np.flatnonzero(dated & ~seed_node)
+    arrival_papers = arrival_papers[np.lexsort((arrival_papers, ds.day[arrival_papers]))]
+    step_of = np.zeros(n, dtype=np.int64)
+    step_of[arrival_papers] = np.arange(1, len(arrival_papers) + 1)
+    step = step_of[ds.citing]
+    replayed = np.flatnonzero(step)
+    replayed = replayed[np.argsort(step[replayed], kind="stable")]
+    return ReplaySequence(ds.labels, np.flatnonzero(seed_node), ds.citing[from_seed],
+                          ds.cited[from_seed], arrival_papers, step[replayed], ds.cited[replayed])
 
 
 @dataclass
@@ -152,6 +169,7 @@ class ReplayResult:
     sample_log: SampleLog
     in_degrees: np.ndarray  # final in-degree per node
     manifest: dict
+    citations_per_step: np.ndarray  # citation count of each arrival
 
 
 def replay_to_samplelog(seq: ReplaySequence) -> ReplayResult:
@@ -161,43 +179,25 @@ def replay_to_samplelog(seq: ReplaySequence) -> ReplayResult:
     node counts just before the arriving paper's nodes and edges are added;
     papers cited for the first time enter with in-degree 0 at that step.
     """
-    in_degree: dict = {}
-    for v in seq.seed.nodes:
-        in_degree[v] = 0
-    for _, v in seq.seed.edges:
-        in_degree[v] += 1
-    e_count = len(seq.seed.edges)
-
-    k_col, e_col, n_col, s_col = [], [], [], []
-    for t, (paper, cited) in enumerate(seq.arrivals, start=1):
-        e_prev = e_count
-        n_prev = len(in_degree)
-        for v in cited:
-            k_col.append(in_degree.get(v, 0))
-            e_col.append(e_prev)
-            n_col.append(n_prev)
-            s_col.append(t)
-        if paper not in in_degree:
-            in_degree[paper] = 0
-        for v in cited:
-            in_degree[v] = in_degree.get(v, 0) + 1
-            e_count += 1
-
-    sample_log = SampleLog(
-        np.array(k_col, dtype=np.int64),
-        np.array(e_col, dtype=np.int64),
-        np.array(n_col, dtype=np.int64),
-        np.array(s_col, dtype=np.int64),
-    )
-    manifest = {
-        "seed_nodes": len(seq.seed.nodes),
-        "seed_edges": len(seq.seed.edges),
-        "arrivals": len(seq.arrivals),
-        "final_nodes": len(in_degree),
-        "final_edges": e_count,
-    }
+    n, steps, step, cited = len(seq.labels), len(seq.arrival_papers), seq.step, seq.cited
+    seed_in, replay_in = np.bincount(seq.seed_cited, minlength=n), np.bincount(cited, minlength=n)
+    # pairs are unique, so a target's earlier citations come from earlier steps
+    order = np.argsort(cited, kind="stable")
+    earlier = np.empty_like(cited)
+    earlier[order] = np.arange(len(cited)) - (np.cumsum(replay_in) - replay_in)[cited[order]]
+    per_step = np.bincount(step, minlength=steps + 1)[1:]
+    e_prev = len(seq.seed_cited) + np.cumsum(per_step) - per_step
+    entry = np.full(n, steps + 1, dtype=np.int64)
+    entry[seq.arrival_papers] = np.arange(1, steps + 1)
+    np.minimum.at(entry, cited, step)
+    entry[seq.seed_nodes] = 0
+    entered = entry <= steps
+    n_prev = np.cumsum(np.bincount(entry[entered], minlength=steps + 1))
     return ReplayResult(
-        sample_log=sample_log,
-        in_degrees=np.array(sorted(in_degree.values()), dtype=np.int64),
-        manifest=manifest,
+        sample_log=SampleLog(seed_in[cited] + earlier, e_prev[step - 1], n_prev[step - 1], step),
+        in_degrees=np.sort((seed_in + replay_in)[entered]),
+        manifest={"seed_nodes": len(seq.seed_nodes), "seed_edges": len(seq.seed_cited),
+                  "arrivals": steps, "final_nodes": int(entered.sum()),
+                  "final_edges": len(seq.seed_cited) + len(cited)},
+        citations_per_step=per_step,
     )

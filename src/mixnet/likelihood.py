@@ -56,7 +56,11 @@ def log_likelihood(log: SampleLog, alpha: float) -> float:
     if len(log) == 0:
         return 0.0
     d, c = _slope_intercept(log)
-    factors = d * alpha + c
+    return _sum_log_factors(log, d * alpha + c, alpha)
+
+
+def _sum_log_factors(log: SampleLog, factors: np.ndarray, alpha: float) -> float:
+    """Sum of log factors; a non-positive factor raises EvaluationError."""
     if (factors <= 0).any():
         i = int(np.argmax(factors <= 0))
         raise EvaluationError(

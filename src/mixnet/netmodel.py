@@ -16,6 +16,7 @@ each drawn target; the pre-step counts ``e_prev`` and ``n_prev`` and the
 from __future__ import annotations
 
 import random
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
@@ -25,6 +26,14 @@ import numpy as np
 
 _CSV_HEADER = ["step", "k", "e_prev", "n_prev"]
 _CSV_CHUNK = 4096  # rows per write: bounds the Python objects alive at once
+
+
+def _warn(message: str) -> None:
+    """Warn at the first caller outside this module."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class StructuralError(ValueError):
@@ -80,10 +89,9 @@ class SeedSpec:
             # the model is only well-defined from max(m, m_hat) nodes, but the
             # canonical experiments start from K3 with m=5: warm-up steps clip
             # their edge counts to the available distinct nodes
-            warnings.warn(
+            _warn(
                 f"seed has {len(self.nodes)} nodes, fewer than max(m, m_hat) = {need}; "
-                "early steps will attach to every existing node",
-                stacklevel=2,
+                "early steps will attach to every existing node"
             )
         known = set(self.nodes)
         seen = set()
@@ -102,10 +110,9 @@ class SeedSpec:
             indeg[v] += 1
         zeros = [v for v, d in indeg.items() if d == 0]
         if zeros:
-            warnings.warn(
+            _warn(
                 f"{len(zeros)} seed node(s) have in-degree 0; "
-                "the minimum positive likelihood root will be 1",
-                stacklevel=2,
+                "the minimum positive likelihood root will be 1"
             )
 
 

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line pipelines."""
 
+import datetime
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -192,6 +195,71 @@ class TestCite:
     def test_missing_dataset_exits_2(self, tmp_path):
         assert run(["cite", tmp_path / "no-e.txt", tmp_path / "no-d.txt",
                     "--cutoff", "2000-01-01", "--out", tmp_path]) == 2
+
+    def test_negative_k_max_exits_1_before_writing(self, dataset, tmp_path, capsys):
+        edges, dates = dataset
+        out = tmp_path / "cite"
+        code = run(["cite", edges, dates, "--cutoff", "2000-01-31", "--k-max", -3,
+                    "--out", out])
+        assert code == 1
+        assert "k-max must be >= 0 (0: data max)" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @staticmethod
+    def pinned_corpus():
+        """Edge and date file text of a 60-paper corpus with every cleaning branch.
+
+        It has duplicate pairs (one from an undated paper), self-citations,
+        an undated citing and an undated cited-only paper, dated papers that
+        cite nothing (empty steps), citations of later papers, three papers
+        a day, a dated id without citations, an id with '#', comments and
+        blank lines in the middle, stray whitespace and CRLF line endings.
+        """
+        rng = random.Random(20240601)
+        ids = [f"p{i}" for i in range(60)]
+        ids[17] = "x#17"
+        start = datetime.date(2000, 1, 1)
+        lines = ["# citing\tcited"]
+        for i in range(1, 60):
+            if i % 7 == 0:
+                continue
+            for j in rng.sample(range(i), min(i, rng.randint(1, 4))):
+                lines.append(f"{ids[i]}\t{ids[j]}")
+            if i % 9 == 0 and i + 3 < 60:
+                lines.append(f"{ids[i]} {ids[i + 3]}")
+            if i % 11 == 0:
+                lines.append(lines[-1])
+                lines.append(f"{ids[i]} {ids[i]}")
+                lines.append("# a comment in the middle")
+                lines.append("")
+        lines += ["u1 p3", "u1 p4", "u1 p3", "p20 u2", "p21 u2", "  p22\tu2  "]
+        dates = [f"{ids[i]}\t{(start + datetime.timedelta(days=i // 3)).isoformat()}"
+                 for i in range(60)]
+        dates.insert(10, "# dates may carry comments")
+        dates.append("ghost\t2000-01-05")
+        return "\r\n".join(lines) + "\r\n", "\n".join(dates) + "\n"
+
+    def test_pinned_outputs(self, tmp_path):
+        # digests of the outputs of the dict-based replay this one replaced
+        edge_text, dates_text = self.pinned_corpus()
+        edges, dates, out = tmp_path / "e.txt", tmp_path / "d.txt", tmp_path / "out"
+        edges.write_bytes(edge_text.encode())
+        dates.write_bytes(dates_text.encode())
+        assert run(["cite", edges, dates, "--cutoff", "2000-01-02", "--m", 3,
+                    "--out", out]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("samplelog.csv", "estimates.json", "ccdf.csv",
+                                "replay_manifest.json")}
+        assert digests == {
+            "samplelog.csv":
+                "71a36960c00645364691de6c22a94f378add08eb45e75aecc3815709e5781c7f",
+            "estimates.json":
+                "a0c565c3cd123e6912d10d9cdac1d7fe6b2b79851bf81f5c611d129ef7b03f45",
+            "ccdf.csv":
+                "a33a27e76aaa1c454d203da0d221b32a5123aaa29d8ac59cc843b71c157a93f3",
+            "replay_manifest.json":
+                "5819af36460dd94a7527fe9a6edae33563b4b32e5b220439c64c029b583ac251",
+        }
 
 
 class TestConfig:

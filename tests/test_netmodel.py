@@ -93,6 +93,22 @@ class TestSeedSpec:
         with pytest.warns(UserWarning, match="in-degree 0"):
             seed.validate(ModelParams(m=1, m_hat=0, alpha=0.5))
 
+    def test_warnings_point_at_the_caller(self):
+        # the warnings name this file, whether validate is called directly
+        # or from inside grow_sequence
+        small = SeedSpec.complete(3)
+        zero_in = SeedSpec.from_lists(["a", "b", "c"], [("a", "b"), ("b", "a"), ("c", "a")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            small.validate(ModelParams(m=5, m_hat=3, alpha=0.6))
+            zero_in.validate(ModelParams(m=1, m_hat=0, alpha=0.5))
+            grow_sequence(small, ModelParams(m=5, m_hat=3, alpha=0.6), 5, make_rng(0))
+            grow_sequence(zero_in, ModelParams(m=1, m_hat=0, alpha=0.5), 5, make_rng(0))
+        messages = [str(w.message) for w in caught]
+        assert sum("fewer than" in m for m in messages) == 2
+        assert sum("in-degree 0" in m for m in messages) == 2
+        assert {w.filename for w in caught} == {__file__}
+
     def test_rejects_self_loop(self):
         seed = SeedSpec.from_lists(["a", "b"], [("a", "a"), ("a", "b")])
         with pytest.raises(ValueError, match="self-loop"):
