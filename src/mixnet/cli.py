@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -40,29 +40,56 @@ def _resolve_seed_spec(spec: str) -> SeedSpec:
     return read_seed_spec(spec)
 
 
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get("MIXNET_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+#: parsed names that are not run parameters
+_NOT_PARAMS = ("subcommand", "func", "out", "config")
 
 
-def _write_manifest(out_dir: str, subcommand: str, params: dict, outputs: list,
-                    started: float) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "params": params,
-        "outputs": outputs,
-        "version": __version__,
-        "duration_s": round(time.time() - started, 3),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def cmd_simulate(args) -> int:
-    started = time.time()
-    out_dir = _out_dir(args)
+class _Run:
+    """One subcommand call: its output directory, the files written, its manifest.
+
+    The directory is made on the first write, so a call that a flag check
+    rejects leaves nothing on disk.
+    """
+
+    def __init__(self, args):
+        self.subcommand = args.subcommand
+        self.params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+        self.out_dir = args.out or os.environ.get("MIXNET_OUT") or "."
+        self.outputs: list[str] = []
+        self.started = time.perf_counter()
+
+    def path(self, name: str) -> str:
+        """Path of the output file ``name``, recorded in write order."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        path = os.path.join(self.out_dir, name)
+        self.outputs.append(path)
+        return path
+
+    def write_csv(self, name: str, header: list, rows) -> None:
+        with open(self.path(name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def write_json(self, name: str, obj) -> None:
+        with open(self.path(name), "w") as fh:
+            fh.write(_dumps(obj) + "\n")
+
+    def write_manifest(self) -> None:
+        self.write_json("manifest.json", {
+            "subcommand": self.subcommand,
+            "params": self.params,
+            "outputs": list(self.outputs),  # a copy: the manifest's own path is not listed
+            "version": __version__,
+            "duration_s": round(time.perf_counter() - self.started, 3),
+        })
+
+
+def cmd_simulate(args, run: _Run) -> None:
     seed_spec = _resolve_seed_spec(args.seed_spec)
     params = ModelParams(m=args.m, m_hat=args.m_hat, alpha=args.alpha)
     rng = make_rng(args.rng_seed)
@@ -70,33 +97,21 @@ def cmd_simulate(args) -> int:
     net, sample_log = grow_sequence(
         seed_spec, params, args.steps, rng, keep_edges=args.export_graph
     )
-    log_path = os.path.join(out_dir, "samplelog.csv")
-    sample_log.to_csv(log_path)
-    outputs = [log_path]
+    sample_log.to_csv(run.path("samplelog.csv"))
     if args.export_graph:
-        graph_path = os.path.join(out_dir, "graph.edgelist")
-        write_edge_list(net, graph_path)
-        outputs.append(graph_path)
-    _write_manifest(out_dir, "simulate", {
-        "seed_spec": args.seed_spec, "m": args.m, "m_hat": args.m_hat,
-        "alpha": args.alpha, "steps": args.steps, "rng_seed": args.rng_seed,
-        "nodes": net.node_count, "edges": net.edge_count,
-    }, outputs, started)
-    return 0
+        write_edge_list(net, run.path("graph.edgelist"))
+    run.params.update(nodes=net.node_count, edges=net.edge_count)
 
 
-def cmd_estimate(args) -> int:
-    started = time.time()
+def cmd_estimate(args, run: _Run) -> None:
     if args.trace and args.stride < 1:
         raise ValueError(f"stride must be >= 1, got {args.stride}")
-    out_dir = _out_dir(args)
     sample_log = SampleLog.from_csv(args.log)
     cfg = EmConfig(
         alpha_init=args.alpha_init, epsilon=args.epsilon, max_iter=args.max_iter,
         keep_zero_indegree=args.keep_zero_indegree,
     )
     result: dict = {}
-    outputs = []
 
     if args.method in ("mle", "both"):
         # k=0 records stay in the MLE input: they contribute roots at 1
@@ -110,38 +125,17 @@ def cmd_estimate(args) -> int:
             "iterations": len(trace.iterations) - 1,
             "loglik": trace.iterations[-1][1],
         }
-        trace_path = os.path.join(out_dir, "em_trace.csv")
-        trace.to_csv(trace_path)
-        outputs.append(trace_path)
-
-    est_path = os.path.join(out_dir, "estimate.json")
-    with open(est_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(est_path)
+        trace.to_csv(run.path("em_trace.csv"))
+    run.write_json("estimate.json", result)
 
     if args.trace:
         if args.snapshot_mode:
             rows = step_estimates(sample_log)
         else:
             steps = range(args.stride, sample_log.n_steps + 1, args.stride)
-            rows = list(zip(steps, prefix_estimates(sample_log, steps)))
-        trace_path = os.path.join(out_dir, "trace.csv")
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "alpha_hat"])
-            for t, a in rows:
-                writer.writerow([t, repr(a)])
-        outputs.append(trace_path)
-
-    _write_manifest(out_dir, "estimate", {
-        "log": args.log, "method": args.method, "alpha_init": args.alpha_init,
-        "epsilon": args.epsilon, "max_iter": args.max_iter,
-        "keep_zero_indegree": args.keep_zero_indegree,
-        "trace": args.trace, "stride": args.stride, "snapshot_mode": args.snapshot_mode,
-    }, outputs, started)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
+            rows = zip(steps, prefix_estimates(sample_log, steps))
+        run.write_csv("trace.csv", ["t", "alpha_hat"], rows)
+    print(_dumps(result))
 
 
 def _ensemble_member(job) -> np.ndarray:
@@ -151,26 +145,20 @@ def _ensemble_member(job) -> np.ndarray:
     return net.in_degree_array()
 
 
-def cmd_dist(args) -> int:
-    started = time.time()
-    out_dir = _out_dir(args)
+def cmd_dist(args, run: _Run) -> None:
     params = ModelParams(m=args.m, m_hat=args.m_hat, alpha=args.alpha)
     if args.k_max < params.m_hat:
         raise ValueError(f"k-max {args.k_max} below the support start m_hat={params.m_hat}")
+    if args.ensemble < 0:
+        raise ValueError(f"ensemble must be >= 0 (0: theory only), got {args.ensemble}")
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
 
     dist = StationaryDistribution(params)
-    ks = np.arange(params.m_hat, args.k_max + 1)
+    ks = range(params.m_hat, args.k_max + 1)
     pmf = dist.pmf_array(args.k_max)
     ccdf = dist.ccdf_array(args.k_max)
-    theory_path = os.path.join(out_dir, "theory.csv")
-    with open(theory_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "pmf", "ccdf"])
-        for k, p, f in zip(ks, pmf, ccdf):
-            writer.writerow([int(k), repr(float(p)), repr(float(f))])
-    outputs = [theory_path]
-
-    if args.ensemble > 0:
+    if args.ensemble:
         print(f"rng seed: {args.rng_seed}")
         seed_spec = _resolve_seed_spec(args.seed_spec)
         jobs = [
@@ -178,6 +166,8 @@ def cmd_dist(args) -> int:
             for i in range(args.ensemble)
         ]
         if args.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 degree_arrays = list(pool.map(_ensemble_member, jobs))
         else:
@@ -185,35 +175,20 @@ def cmd_dist(args) -> int:
         mean_ccdf = np.mean(
             [ccdf_from_indegrees(d, args.k_max) for d in degree_arrays], axis=0
         )
-        emp_path = os.path.join(out_dir, "empirical.csv")
-        with open(emp_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "ccdf_empirical"])
-            for k in range(args.k_max + 1):
-                writer.writerow([k, repr(float(mean_ccdf[k]))])
-        outputs.append(emp_path)
 
-    _write_manifest(out_dir, "dist", {
-        "m": args.m, "m_hat": args.m_hat, "alpha": args.alpha,
-        "k_max": args.k_max, "ensemble": args.ensemble, "steps": args.steps,
-        "rng_seed": args.rng_seed, "seed_spec": args.seed_spec,
-        "workers": args.workers,
-    }, outputs, started)
-    return 0
+    run.write_csv("theory.csv", ["k", "pmf", "ccdf"], zip(ks, pmf.tolist(), ccdf.tolist()))
+    if args.ensemble:
+        run.write_csv("empirical.csv", ["k", "ccdf_empirical"], enumerate(mean_ccdf.tolist()))
 
 
-def cmd_cite(args) -> int:
-    started = time.time()
+def cmd_cite(args, run: _Run) -> None:
     if args.k_max < 0:
         raise ValueError("k-max must be >= 0 (0: data max)")
-    out_dir = _out_dir(args)
-    ds = load_dataset(args.edges, args.dates)
+    ModelParams(m=args.m, m_hat=args.m_hat, alpha=0.0)  # checks --m and --m-hat
     cutoff = datetime.date.fromisoformat(args.cutoff)
-    seq = build_replay(ds, cutoff)
-    replay = replay_to_samplelog(seq)
-
-    log_path = os.path.join(out_dir, "samplelog.csv")
-    replay.sample_log.to_csv(log_path)
+    ds = load_dataset(args.edges, args.dates)
+    replay = replay_to_samplelog(build_replay(ds, cutoff))
+    replay.sample_log.to_csv(run.path("samplelog.csv"))
 
     mle_log = (
         replay.sample_log if args.keep_zero_indegree_mle
@@ -224,7 +199,7 @@ def cmd_cite(args) -> int:
         replay.sample_log,
         EmConfig(epsilon=args.epsilon, keep_zero_indegree=args.keep_zero_indegree_em),
     )
-    estimates = {
+    run.write_json("estimates.json", {
         "mle": mle_report.to_dict(),
         "em": {
             "alpha_hat": em_trace.final_alpha,
@@ -233,66 +208,74 @@ def cmd_cite(args) -> int:
         # the estimates above need records, hence at least one arrival
         "mean_citations_per_arrival": float(np.mean(replay.citations_per_step)),
         "median_citations_per_arrival": float(np.median(replay.citations_per_step)),
-    }
-    est_path = os.path.join(out_dir, "estimates.json")
-    with open(est_path, "w") as fh:
-        json.dump(estimates, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
     # theoretical overlays at both estimates against the empirical ccdf
     k_max = args.k_max or int(replay.in_degrees.max())
     emp_ccdf = ccdf_from_indegrees(replay.in_degrees, k_max)
     overlays = {}
     for name, alpha_hat in (("mle", mle_report.alpha_hat), ("em", em_trace.final_alpha)):
-        overlay_params = ModelParams(m=args.m, m_hat=args.m_hat, alpha=alpha_hat)
-        dist = StationaryDistribution(overlay_params)
-        full = np.ones(k_max + 1)
-        theory = dist.ccdf_array(k_max)
-        full[overlay_params.m_hat:] = theory
-        overlays[name] = full
-    ccdf_path = os.path.join(out_dir, "ccdf.csv")
-    with open(ccdf_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "ccdf_empirical", "ccdf_theory_mle", "ccdf_theory_em"])
-        for k in range(k_max + 1):
-            writer.writerow([
-                k, repr(float(emp_ccdf[k])),
-                repr(float(overlays["mle"][k])), repr(float(overlays["em"][k])),
-            ])
-
-    manifest_path = os.path.join(out_dir, "replay_manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(replay.manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    _write_manifest(out_dir, "cite", {
-        "edges": args.edges, "dates": args.dates, "cutoff": args.cutoff,
-        "m": args.m, "m_hat": args.m_hat, "epsilon": args.epsilon,
-        "keep_zero_indegree_mle": args.keep_zero_indegree_mle,
-        "keep_zero_indegree_em": args.keep_zero_indegree_em,
-    }, [log_path, est_path, ccdf_path, manifest_path], started)
-    print(json.dumps({**replay.manifest, **{
-        "alpha_mle": mle_report.alpha_hat, "alpha_em": em_trace.final_alpha,
-    }}, indent=2, sort_keys=True))
-    return 0
+        overlay = ModelParams(m=args.m, m_hat=args.m_hat, alpha=alpha_hat)
+        overlays[name] = np.ones(k_max + 1)
+        overlays[name][args.m_hat:] = StationaryDistribution(overlay).ccdf_array(k_max)
+    run.write_csv(
+        "ccdf.csv", ["k", "ccdf_empirical", "ccdf_theory_mle", "ccdf_theory_em"],
+        zip(range(k_max + 1), emp_ccdf.tolist(),
+            overlays["mle"].tolist(), overlays["em"].tolist()),
+    )
+    run.write_json("replay_manifest.json", replay.manifest)
+    print(_dumps({**replay.manifest, "alpha_mle": mle_report.alpha_hat,
+                  "alpha_em": em_trace.final_alpha}))
 
 
-def _load_config(path) -> dict:
-    """key=value lines; keys use the long option spelling with '-' or '_'."""
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _config_value(action, value: str):
+    """``value`` converted and checked as its flag's argument would be."""
+    if action.nargs == 0:  # a switch
+        if value.lower() not in _SWITCH_VALUES:
+            raise ValueError(f"expected one of {'/'.join(_SWITCH_VALUES)}, got {value!r}")
+        return _SWITCH_VALUES[value.lower()]
+    converted = action.type(value) if action.type else value
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"expected one of {'/'.join(action.choices)}, got {value!r}")
+    return converted
+
+
+def _config_defaults(path, subparsers: dict, subcommand: str) -> dict:
+    """``subcommand``'s defaults from a file of key=value lines.
+
+    Keys use the long option spelling with '-' or '_'.  A key of another
+    subcommand is ignored, so one file can serve them all; a key that no
+    subcommand has is an error.
+    """
+    options = {
+        name: {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+        for name, sub in subparsers.items()
+    }
+    defaults = {}
+    for lineno, line in enumerate(Path(path).read_text().split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not any(key in opts for opts in options.values()):
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in options[subcommand]:
+            try:
+                defaults[key] = _config_value(options[subcommand][key], value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    return defaults
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by subcommand name."""
     parser = argparse.ArgumentParser(
         prog="mixnet",
         description="Mixed random/preferential attachment growth and estimation toolkit",
@@ -357,30 +340,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-zero-indegree-em", action="store_true", default=False)
     p.add_argument("--out")
     p.set_defaults(func=cmd_cite)
-    return parser
-
-
-def _convert_config_value(value: str, action) -> object:
-    if isinstance(action.default, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if action.type is not None:
-        return action.type(value)
-    return value
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            overrides = _load_config(args.config)
-            # apply config values as subcommand defaults so explicit flags win
-            subparser = parser._subparsers._group_actions[0].choices[args.subcommand]
-            for action in subparser._actions:
-                if action.dest in overrides:
-                    action.default = _convert_config_value(overrides[action.dest], action)
+            # config values become the subcommand's defaults, so explicit flags win
+            subparsers[args.subcommand].set_defaults(
+                **_config_defaults(args.config, subparsers, args.subcommand)
+            )
             args = parser.parse_args(argv)
-        return args.func(args)
+        run = _Run(args)
+        args.func(args, run)
+        run.write_manifest()
+        return 0
     except OSError as exc:
         print(f"mixnet: I/O error: {exc}", file=sys.stderr)
         return 2

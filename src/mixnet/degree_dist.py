@@ -10,9 +10,9 @@ the one-step expectation recurrence of the growth model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lgamma as gammaln
 
 import numpy as np
-from scipy.special import gammaln
 
 from .netmodel import ModelParams
 

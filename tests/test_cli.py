@@ -3,12 +3,16 @@
 import datetime
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import mixnet
 from mixnet import SampleLog, mle_estimate
-from mixnet.cli import main
+from mixnet.cli import build_parser, main
 from mixnet.likelihood import NoInformationError
 
 
@@ -261,6 +265,27 @@ class TestCite:
                 "5819af36460dd94a7527fe9a6edae33563b4b32e5b220439c64c029b583ac251",
         }
 
+    def test_rerun_from_manifest_params(self, tmp_path):
+        edge_text, dates_text = self.pinned_corpus()
+        edges, dates = tmp_path / "e.txt", tmp_path / "d.txt"
+        edges.write_bytes(edge_text.encode())
+        dates.write_bytes(dates_text.encode())
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["cite", edges, dates, "--cutoff", "2000-01-02", "--m", 3,
+                    "--k-max", 7, "--drop-zero-indegree-mle", "--out", first]) == 0
+        p = read_manifest(first)["params"]
+        argv = ["cite", p["edges"], p["dates"], "--cutoff", p["cutoff"],
+                "--m", p["m"], "--m-hat", p["m_hat"], "--epsilon", p["epsilon"],
+                "--k-max", p["k_max"],
+                "--keep-zero-indegree-mle" if p["keep_zero_indegree_mle"]
+                else "--drop-zero-indegree-mle"]
+        if p["keep_zero_indegree_em"]:
+            argv.append("--keep-zero-indegree-em")
+        assert run(argv + ["--out", second]) == 0
+        ccdf = (first / "ccdf.csv").read_bytes()
+        assert len(ccdf.splitlines()) == 1 + 8  # k = 0 .. 7, below the data max
+        assert (second / "ccdf.csv").read_bytes() == ccdf
+
 
 class TestConfig:
     def test_config_sets_defaults(self, tmp_path):
@@ -293,6 +318,28 @@ class TestConfig:
         code = run(["--config", cfg, "simulate", "complete:4", "--out", tmp_path])
         assert code == 1
 
+    @pytest.mark.parametrize("argv,line,message", [
+        (["simulate", "complete:4"], "aplha=0.9", "unknown key 'aplha'"),
+        (["estimate", "log.csv"], "method=bogus", "method: expected one of mle/em/both"),
+        (["simulate", "complete:4"], "export-graph=maybe", "export_graph: expected one of"),
+        (["simulate", "complete:4"], "steps=ten", "steps: invalid literal"),
+    ], ids=["unknown-key", "outside-choices", "bad-switch", "bad-int"])
+    def test_bad_value_exits_1(self, tmp_path, capsys, argv, line, message):
+        cfg = tmp_path / "mixnet.cfg"
+        cfg.write_text(f"steps=5\n{line}\n")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, *argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mixnet: error: {cfg}:2: ") and message in err
+        assert not out.exists()
+
+    def test_other_subcommands_keys_ignored(self, tmp_path):
+        cfg = tmp_path / "mixnet.cfg"
+        cfg.write_text("steps=5\nmethod=em\ncutoff=2000-01-01\nk-max=9\n")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "simulate", "complete:4", "--out", out]) == 0
+        assert read_manifest(out)["params"]["steps"] == 5
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -304,3 +351,77 @@ def test_env_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("MIXNET_OUT", str(tmp_path / "envout"))
     run(["simulate", "complete:4", "--steps", 5])
     assert (tmp_path / "envout" / "samplelog.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cite", "no-e.txt", "no-d.txt", "--cutoff", "2000-13-01"], "month must be in 1..12"),
+    (["cite", "no-e.txt", "no-d.txt", "--cutoff", "2000-01-01", "--m", 0],
+     "m must be >= 1"),
+    (["dist", "--m", 2, "--alpha", 0.5, "--k-max", 9, "--ensemble", -1],
+     "ensemble must be >= 0"),
+    (["dist", "--m", 2, "--alpha", 0.5, "--k-max", 9, "--workers", 0],
+     "workers must be >= 1"),
+    (["dist", "--m", 2, "--alpha", 0.5, "--k-max", 9, "--ensemble", 2, "--steps", 20,
+      "--workers", -2], "workers must be >= 1"),
+    (["dist", "--m", 2, "--alpha", 0.5, "--k-max", 9, "--ensemble", 2, "--steps", -5],
+     "steps must be >= 0"),
+    (["dist", "--m", 5, "--m-hat", 3, "--alpha", 0.6, "--k-max", 2],
+     "k-max 2 below the support start"),
+    (["estimate", "no.csv", "--trace", "--stride", 0], "stride must be >= 1"),
+    (["simulate", "complete:4", "--alpha", 1.5], "alpha must be in [0, 1]"),
+], ids=["cite-cutoff", "cite-m", "dist-ensemble", "dist-workers", "dist-ensemble-workers",
+        "dist-steps", "dist-k-max", "estimate-stride", "simulate-alpha"])
+def test_rejected_flag_exits_1_without_output_dir(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mixnet: error:") and message in err
+    assert not out.exists()
+
+
+@pytest.fixture
+def samplelog(tmp_path):
+    out = tmp_path / "sim"
+    assert run(["simulate", "complete:4", "--m", 3, "--m-hat", 2, "--alpha", 0.6,
+                "--steps", 60, "--rng-seed", 1, "--out", out]) == 0
+    return out / "samplelog.csv"
+
+
+@pytest.mark.parametrize("argv,outputs", [
+    (["simulate", "complete:4", "--m", 2, "--steps", 30, "--export-graph"],
+     ["samplelog.csv", "graph.edgelist"]),
+    (["estimate", "{log}", "--trace", "--stride", 20],
+     ["em_trace.csv", "estimate.json", "trace.csv"]),
+    (["dist", "--m", 2, "--m-hat", 1, "--alpha", 0.5, "--k-max", 12, "--ensemble", 2,
+      "--steps", 40], ["theory.csv", "empirical.csv"]),
+    (["cite", "{edges}", "{dates}", "--cutoff", "2000-01-02", "--m", 3, "--k-max", 5],
+     ["samplelog.csv", "estimates.json", "ccdf.csv", "replay_manifest.json"]),
+], ids=["simulate", "estimate", "dist", "cite"])
+def test_manifest_records_outputs_and_every_flag(tmp_path, samplelog, argv, outputs):
+    edge_text, dates_text = TestCite.pinned_corpus()
+    files = {"log": samplelog, "edges": tmp_path / "e.txt", "dates": tmp_path / "d.txt"}
+    files["edges"].write_bytes(edge_text.encode())
+    files["dates"].write_bytes(dates_text.encode())
+    argv = [str(a).format(**files) for a in argv]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 0
+    manifest = read_manifest(out)
+    assert manifest["outputs"] == [str(out / name) for name in outputs]
+    assert sorted(os.listdir(out)) == sorted(outputs + ["manifest.json"])
+    parser, _ = build_parser()
+    flags = {k: v for k, v in vars(parser.parse_args(argv)).items()
+             if k not in ("out", "config", "subcommand", "func")}
+    if argv[0] == "simulate":
+        flags.update(nodes=4 + 30, edges=12 + 30 * 2)
+    assert manifest["params"] == flags
+
+
+def test_import_loads_no_scipy_or_process_pool():
+    src = os.path.dirname(os.path.dirname(mixnet.__file__))
+    code = ("import sys, mixnet.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy') or m == 'concurrent.futures.process'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
