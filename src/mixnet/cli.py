@@ -106,11 +106,11 @@ def cmd_simulate(args, run: _Run) -> None:
 def cmd_estimate(args, run: _Run) -> None:
     if args.trace and args.stride < 1:
         raise ValueError(f"stride must be >= 1, got {args.stride}")
-    sample_log = SampleLog.from_csv(args.log)
     cfg = EmConfig(
         alpha_init=args.alpha_init, epsilon=args.epsilon, max_iter=args.max_iter,
         keep_zero_indegree=args.keep_zero_indegree,
     )
+    sample_log = SampleLog.from_csv(args.log)
     result: dict = {}
 
     if args.method in ("mle", "both"):
@@ -185,6 +185,7 @@ def cmd_cite(args, run: _Run) -> None:
     if args.k_max < 0:
         raise ValueError("k-max must be >= 0 (0: data max)")
     ModelParams(m=args.m, m_hat=args.m_hat, alpha=0.0)  # checks --m and --m-hat
+    em_cfg = EmConfig(epsilon=args.epsilon, keep_zero_indegree=args.keep_zero_indegree_em)
     cutoff = datetime.date.fromisoformat(args.cutoff)
     ds = load_dataset(args.edges, args.dates)
     replay = replay_to_samplelog(build_replay(ds, cutoff))
@@ -195,10 +196,7 @@ def cmd_cite(args, run: _Run) -> None:
         else replay.sample_log.drop_zero_indegree()
     )
     mle_report = mle_estimate(mle_log)
-    em_trace = em_estimate(
-        replay.sample_log,
-        EmConfig(epsilon=args.epsilon, keep_zero_indegree=args.keep_zero_indegree_em),
-    )
+    em_trace = em_estimate(replay.sample_log, em_cfg)
     run.write_json("estimates.json", {
         "mle": mle_report.to_dict(),
         "em": {

@@ -1,15 +1,18 @@
 """Theoretical and empirical in-degree distributions.
 
-The stationary pmf is evaluated by iterating its ratio recurrence from the
-closed base case; the Gamma-function solutions of the recurrence are kept
-as cross-check oracles only, since their arguments grow with k and the
-uniform-attachment limit degenerates them.  The finite-time pmf iterates
-the one-step expectation recurrence of the growth model.
+The stationary pmf is one cumulative product of its ratio recurrence
+P(k) / P(k-1) = (A k + B) / (A k + D) from the closed base case.  That ratio
+makes P a Gosper-summable hypergeometric term, so the CCDF is the exact tail
+sum P(k) (u k + v), with no summation and no cancellation.  The
+Gamma-function solutions of the recurrence are kept as cross-check oracles
+only, since their arguments grow with k and the uniform-attachment limit
+degenerates them.  The finite-time pmf iterates the one-step expectation
+recurrence of the growth model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lgamma as gammaln
 
 import numpy as np
@@ -47,7 +50,6 @@ class StationaryDistribution:
     """Long-run in-degree pmf and CCDF; support starts at k = m_hat."""
 
     params: ModelParams
-    _pmf: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
 
     def __post_init__(self):
         _check_regime(self.params)
@@ -56,88 +58,51 @@ class StationaryDistribution:
     def support_start(self) -> int:
         return self.params.m_hat
 
-    def _extend(self, k_max: int) -> None:
-        mh = self.support_start
-        if len(self._pmf) > k_max - mh:
-            return
-        ks = np.arange(mh, k_max + 1)
-        ratios = np.empty(len(ks))
-        ratios[0] = _base_pmf(self.params)
-        if len(ks) > 1:
-            ratios[1:] = _ratio(self.params, ks[1:])
-        self._pmf = np.cumprod(ratios)
-
     def pmf_array(self, k_max: int) -> np.ndarray:
         """P(k) for k = m_hat .. k_max inclusive."""
-        if k_max < self.support_start:
-            raise ValueError(f"k_max={k_max} below support start {self.support_start}")
-        self._extend(k_max)
-        return self._pmf[: k_max - self.support_start + 1].copy()
+        mh = self.support_start
+        if k_max < mh:
+            raise ValueError(f"k={k_max} below support start {mh}")
+        ratios = np.empty(k_max - mh + 1)
+        ratios[0] = _base_pmf(self.params)
+        ratios[1:] = _ratio(self.params, np.arange(mh + 1, k_max + 1))
+        return np.cumprod(ratios)
 
     def pmf(self, k: int) -> float:
-        if k < self.support_start:
-            raise ValueError(f"k={k} below support start {self.support_start}")
-        self._extend(k)
-        return float(self._pmf[k - self.support_start])
+        return float(self.pmf_array(k)[-1])
 
     def ccdf(self, k: int) -> float:
         """P(K >= k); equals 1 at the support start by the empty sum."""
-        if k < self.support_start:
-            raise ValueError(f"k={k} below support start {self.support_start}")
         return float(self.ccdf_array(k)[-1])
 
-    def _tail_masses(self, k_max: int) -> np.ndarray:
-        """F-bar(k) for k = m_hat .. k_max by summing the pmf tail outward.
-
-        The truncation remainder is bounded by a geometric estimate from the
-        last pmf ratio, which is conservative for both the exponential and
-        the power-law tail regimes of the recurrence.
-        """
-        k_top = max(2 * k_max, k_max + 64)
-        while True:
-            pmf = self.pmf_array(k_top)
-            r = pmf[-1] / pmf[-2]
-            remainder = pmf[-1] * r / (1.0 - r) if r < 1.0 else np.inf
-            fbar_at_kmax = pmf[k_max - self.support_start:].sum() + remainder
-            if remainder <= 1e-12 * fbar_at_kmax:
-                break
-            if k_top > 50_000_000:
-                raise ValueError(f"tail summation did not converge by k={k_top}")
-            k_top *= 2
-        rev = np.cumsum(pmf[::-1])[::-1] + remainder
-        return rev[: k_max - self.support_start + 1]
-
     def ccdf_array(self, k_max: int) -> np.ndarray:
-        """CCDF for k = m_hat .. k_max inclusive."""
-        pmf = self.pmf_array(k_max)
-        out = np.empty(len(pmf))
+        """CCDF for k = m_hat .. k_max inclusive, by the closed tail sum.
+
+        With the pmf ratio (A k + B) / (A k + D), the tail is exactly
+        P(k) (u k + v) with u = A / (m + m_hat) and v = D (1 + u) / (D - B),
+        where D - B = alpha m + m + m_hat > 0.
+        """
+        m, mh, a = self.params.m, self.params.m_hat, self.params.alpha
+        d = a * (-m * m - m * mh) + m * m + m * mh + m + mh
+        u = a * m / (m + mh)
+        v = d * (1.0 + u) / (a * m + m + mh)
+        out = self.pmf_array(k_max) * (u * np.arange(mh, k_max + 1) + v)
         out[0] = 1.0
-        out[1:] = 1.0 - np.cumsum(pmf[:-1])
-        if out[-1] < 1e-8:
-            # 1 - cumsum cancels catastrophically deep in the tail; recompute
-            # the small entries by explicit tail summation
-            tails = self._tail_masses(k_max)
-            small = out < 1e-8
-            out[small] = tails[small]
         return out
 
     def support_for_mass(self, mass: float = 1.0 - 1e-6, k_cap: int = 10_000_000) -> int:
-        """Smallest k_max whose truncated pmf holds at least ``mass``."""
+        """Smallest k whose CDF holds at least ``mass``: CCDF(k + 1) <= 1 - mass."""
         k_max = self.support_start + 64
         while k_max <= k_cap:
-            if self.pmf_array(k_max).sum() >= mass:
-                arr = self.pmf_array(k_max)
-                csum = np.cumsum(arr)
-                return self.support_start + int(np.searchsorted(csum, mass))
+            held = self.ccdf_array(k_max + 1)[1:] <= 1.0 - mass
+            if held.any():
+                return self.support_start + int(np.argmax(held))
             k_max *= 2
         raise ValueError(f"support above {k_cap} needed to hold mass {mass}")
 
     def quantile(self, q: float) -> int:
         """Smallest k with CDF(k) >= q."""
-        k_max = self.support_for_mass(max(q, 0.5))
-        pmf = self.pmf_array(k_max)
-        csum = np.cumsum(pmf)
-        return self.support_start + int(np.searchsorted(csum, q))
+        return self.support_for_mass(q)
 
 
 def stationary_pmf(params: ModelParams, k: int) -> float:

@@ -30,8 +30,8 @@ class EmConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha_init < 1.0:
             raise ValueError(f"alpha_init must be in (0, 1), got {self.alpha_init}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < float("inf"):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

@@ -1,7 +1,9 @@
 """Shared fixtures and random-log helpers for the test suite."""
 
+import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -52,3 +54,35 @@ def fig3_runs():
             _, log = grow_sequence(seed_spec, FIG3_PARAMS, FIG3_STEPS, make_rng(s))
         runs.append(log)
     return runs
+
+
+def head_sum_ccdf(params: ModelParams, k_max: int) -> list:
+    """Stationary CCDF for k = m_hat .. k_max as 1 - sum_{j<k} P(j) in mpmath.
+
+    An oracle that does not use the closed tail sum: the pmf comes from its
+    ratio recurrence, and the working precision is raised by the digits the
+    head sum cancels.  Those are at most -log10 P(k_max), since CCDF >= pmf,
+    and capped at 300: compare only where the CCDF exceeds 1e-300.
+    """
+    m, mh = params.m, params.m_hat
+
+    def base(a):
+        return (m + mh) / (m * m + m * mh + m + mh - a * m * m)
+
+    def ratio(a, k):
+        return ((a * (k * m - m * m - m * mh - m) + m * m + m * mh)
+                / (a * (k * m - m * m - m * mh) + m * m + m * mh + m + mh))
+
+    # a float estimate of the digits lost is enough to set the precision
+    a = params.alpha
+    log10_last = math.log10(base(a)) + math.fsum(
+        math.log10(ratio(a, k)) for k in range(mh + 1, k_max + 1))
+    with mpmath.workdps(30 + min(300, int(-log10_last))):
+        a = mpmath.mpf(a)  # the float's exact value
+        out, head, p = [], mpmath.mpf(0), base(a)
+        for k in range(mh, k_max + 1):
+            if k > mh:
+                p *= ratio(a, k)
+            out.append(1 - head)
+            head += p
+    return out

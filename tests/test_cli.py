@@ -11,9 +11,11 @@ import sys
 import pytest
 
 import mixnet
-from mixnet import SampleLog, mle_estimate
+from mixnet import ModelParams, SampleLog, mle_estimate
 from mixnet.cli import build_parser, main
 from mixnet.likelihood import NoInformationError
+
+from conftest import head_sum_ccdf
 
 
 def read_manifest(out_dir):
@@ -165,6 +167,16 @@ class TestDist:
         assert run(["dist", "--m", 5, "--m-hat", 3, "--alpha", 0.6,
                     "--k-max", 2, "--out", tmp_path]) == 1
 
+    def test_deep_tail_at_fig3(self, tmp_path):
+        # the CCDF falls below 1e-8 here, where a tail summation used to give up
+        assert run(["dist", "--m", 5, "--m-hat", 3, "--alpha", 0.6,
+                    "--k-max", 10000, "--out", tmp_path]) == 0
+        last = (tmp_path / "theory.csv").read_text().strip().splitlines()[-1]
+        k, _, ccdf = last.split(",")
+        assert k == "10000"
+        expect = head_sum_ccdf(ModelParams(m=5, m_hat=3, alpha=0.6), 10000)[-1]
+        assert float(ccdf) == pytest.approx(float(expect), rel=1e-12)
+
 
 class TestCite:
     @pytest.fixture
@@ -195,6 +207,19 @@ class TestCite:
         assert ccdf_lines[0] == "k,ccdf_empirical,ccdf_theory_mle,ccdf_theory_em"
         printed = json.loads(capsys.readouterr().out)
         assert printed["final_nodes"] == replay["final_nodes"]
+
+    def test_estimate_near_alpha_1(self, tmp_path):
+        # the corpus of test_ingest.py: EM puts alpha within 1e-7 of 1 at m_hat = 0
+        edges, dates, out = tmp_path / "e.txt", tmp_path / "d.txt", tmp_path / "out"
+        edges.write_text("# citing cited\nA Z\nB A\nB A\nC C\nC A\nC B\nX A\nD C\nD A\n")
+        dates.write_text("# id date\nA\t2000-01-01\nB\t2000-02-01\nC\t2000-03-01\n"
+                         "D\t2000-04-01\n")
+        assert run(["cite", edges, dates, "--cutoff", "2000-01-31", "--m", 2,
+                    "--out", out]) == 0
+        assert json.loads((out / "estimates.json").read_text())["em"]["alpha_hat"] > 1 - 1e-7
+        rows = [line.split(",") for line in (out / "ccdf.csv").read_text().split()[1:]]
+        theory_em = [float(r[3]) for r in rows]
+        assert theory_em[0] == 1.0 and all(0.0 < f < 1.0 for f in theory_em[1:])
 
     def test_missing_dataset_exits_2(self, tmp_path):
         assert run(["cite", tmp_path / "no-e.txt", tmp_path / "no-d.txt",
@@ -244,7 +269,8 @@ class TestCite:
         return "\r\n".join(lines) + "\r\n", "\n".join(dates) + "\n"
 
     def test_pinned_outputs(self, tmp_path):
-        # digests of the outputs of the dict-based replay this one replaced
+        # digests of the outputs of the dict-based replay this one replaced, except
+        # ccdf.csv, whose theory columns now come from the closed tail sum
         edge_text, dates_text = self.pinned_corpus()
         edges, dates, out = tmp_path / "e.txt", tmp_path / "d.txt", tmp_path / "out"
         edges.write_bytes(edge_text.encode())
@@ -260,7 +286,7 @@ class TestCite:
             "estimates.json":
                 "a0c565c3cd123e6912d10d9cdac1d7fe6b2b79851bf81f5c611d129ef7b03f45",
             "ccdf.csv":
-                "a33a27e76aaa1c454d203da0d221b32a5123aaa29d8ac59cc843b71c157a93f3",
+                "14b6257560fc0efe5938b69d39860e2dea5b36ebdf4d784135ab2485b33b9ab5",
             "replay_manifest.json":
                 "5819af36460dd94a7527fe9a6edae33563b4b32e5b220439c64c029b583ac251",
         }
@@ -369,8 +395,12 @@ def test_env_out_dir(tmp_path, monkeypatch):
      "k-max 2 below the support start"),
     (["estimate", "no.csv", "--trace", "--stride", 0], "stride must be >= 1"),
     (["simulate", "complete:4", "--alpha", 1.5], "alpha must be in [0, 1]"),
+    (["cite", "no-e.txt", "no-d.txt", "--cutoff", "2000-01-01", "--epsilon", -1],
+     "epsilon must be positive and finite"),
+    (["estimate", "no.csv", "--epsilon", "nan"], "epsilon must be positive and finite"),
 ], ids=["cite-cutoff", "cite-m", "dist-ensemble", "dist-workers", "dist-ensemble-workers",
-        "dist-steps", "dist-k-max", "estimate-stride", "simulate-alpha"])
+        "dist-steps", "dist-k-max", "estimate-stride", "simulate-alpha", "cite-epsilon",
+        "estimate-epsilon"])
 def test_rejected_flag_exits_1_without_output_dir(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert run(argv + ["--out", out]) == 1

@@ -1,5 +1,8 @@
 """Unit tests for the stationary and finite-time degree distributions."""
 
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,8 @@ from mixnet.degree_dist import (
     stationary_pmf_closed_form,
     total_variation,
 )
+
+from conftest import head_sum_ccdf
 
 P536 = ModelParams(m=5, m_hat=3, alpha=0.6)
 
@@ -141,6 +146,72 @@ class TestSupportAndQuantiles:
         dist = StationaryDistribution(P536)
         with pytest.raises(ValueError, match="support above"):
             dist.support_for_mass(1.0 - 1e-9, k_cap=20)
+
+
+def _oracle_cases():
+    """(m, m_hat) rows of FIG3, a small m_hat and m_hat = 0 over the alpha grid."""
+    for m, mh in ((5, 3), (3, 1), (2, 0)):
+        for a in (0.0, 0.2, 0.6, 1.0 - 1e-8, 1.0):
+            if not (a == 1.0 and mh == 0):
+                yield pytest.param(ModelParams(m=m, m_hat=mh, alpha=a), id=f"m{m}-mh{mh}-a{a}")
+    yield pytest.param(
+        ModelParams(m=5, m_hat=0, alpha=1.0 - 1e-8), id="m5-mh0-a0.99999999",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "the pmf ratio at k = 1 computes m^2 (1 - alpha) as alpha (-m^2) + m^2 and "
+            "keeps only 8 digits; the pmf itself is off by 6.7e-9 relative")),
+    )
+
+
+class TestCcdfOracle:
+    @pytest.mark.parametrize("params", _oracle_cases())
+    def test_matches_head_sum(self, params):
+        k_max = 10_000
+        ccdf = StationaryDistribution(params).ccdf_array(k_max)
+        oracle = head_sum_ccdf(params, k_max)
+        rel = [abs((mpmath.mpf(c) - o) / o) for c, o in zip(ccdf.tolist(), oracle)
+               if o > 1e-300]
+        assert len(rel) > 1000
+        assert max(rel) <= 1e-12
+
+
+def _exact_cdf(params: ModelParams):
+    """Yield (k, CDF(k)) for k = m_hat, m_hat + 1, ... in exact arithmetic."""
+    m, mh, a = params.m, params.m_hat, Fraction(params.alpha)
+    p = Fraction(m + mh) / (m * m + m * mh + m + mh - a * m * m)
+    cdf, k = p, mh
+    while True:
+        yield k, cdf
+        k += 1
+        p *= ((a * (k * m - m * m - m * mh - m) + m * m + m * mh)
+              / (a * (k * m - m * m - m * mh) + m * m + m * mh + m + mh))
+        cdf += p
+
+
+class TestQuantileExact:
+    @pytest.mark.parametrize("params", [
+        ModelParams(m=5, m_hat=3, alpha=0.0),
+        ModelParams(m=5, m_hat=3, alpha=0.25),
+        ModelParams(m=5, m_hat=3, alpha=0.5),
+        ModelParams(m=2, m_hat=0, alpha=0.5),
+        ModelParams(m=3, m_hat=1, alpha=0.75),
+        ModelParams(m=5, m_hat=1, alpha=1.0),
+    ], ids=lambda p: f"m{p.m}-mh{p.m_hat}-a{p.alpha}")
+    def test_matches_fraction_cdf(self, params):
+        dist = StationaryDistribution(params)
+        for q in (0.05, 0.1, 0.5, 0.9, 0.99, 0.999):
+            prev, q_exact = Fraction(0), Fraction(q)
+            for k, cdf in _exact_cdf(params):
+                if cdf >= q_exact:
+                    break
+                prev = cdf
+            # within 1e-12 of q the float CDF may fall on either side: no pinned tie
+            allowed = {k}
+            if cdf - q_exact <= 1e-12:
+                allowed.add(k + 1)
+            if q_exact - prev <= 1e-12 and k > params.m_hat:
+                allowed.add(k - 1)
+            assert dist.quantile(q) in allowed, (q, k)
+            assert dist.support_for_mass(q) in allowed, (q, k)
 
 
 class TestFiniteT:

@@ -67,8 +67,9 @@ class TestEmConfig:
             EmConfig(alpha_init=0.0)
         with pytest.raises(ValueError):
             EmConfig(alpha_init=1.0)
-        with pytest.raises(ValueError):
-            EmConfig(epsilon=0.0)
+        for epsilon in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                EmConfig(epsilon=epsilon)
         with pytest.raises(ValueError):
             EmConfig(max_iter=0)
 
