@@ -33,11 +33,15 @@ def _check_regime(params: ModelParams) -> None:
 
 
 def _ratio(params: ModelParams, k: np.ndarray | int):
-    """P(k) / P(k-1) of the stationary recurrence, for k > m_hat."""
+    """P(k) / P(k-1) of the stationary recurrence, for k > m_hat.
+
+    As (A (k - 1) + C) / (A k + C + m + m_hat), with A = alpha m and
+    C = m (m + m_hat) (1 - alpha): C keeps (1 - alpha) as one factor, so the
+    numerator m^2 (1 - alpha) at k = 1, m_hat = 0 does not cancel near alpha = 1.
+    """
     m, mh, a = params.m, params.m_hat, params.alpha
-    num = a * (k * m - m * m - m * mh - m) + m * m + m * mh
-    den = a * (k * m - m * m - m * mh) + m * m + m * mh + m + mh
-    return num / den
+    slope, c = a * m, m * (m + mh) * (1 - a)
+    return (slope * (k - 1) + c) / (slope * k + (c + m + mh))
 
 
 def _base_pmf(params: ModelParams) -> float:

@@ -7,17 +7,30 @@ existing nodes.  Each step logs, for every attachment target, its in-degree
 together with the pre-step edge and node counts; those records are the input
 to the estimators in :mod:`mixnet.likelihood` and :mod:`mixnet.em`.
 
-All growth runs through one loop over an edge-target list (the edge-list
-form of Batagelj & Brandes 2005) that records only the in-degree ``k`` of
-each drawn target; the pre-step counts ``e_prev`` and ``n_prev`` and the
-``step`` column do not depend on the draws and are derived after the loop.
+All growth runs through one kernel, ``_grow``, over an edge-target list (the
+edge-list form of Batagelj & Brandes 2005): a uniform slot of that list is a
+draw proportional to in-degree.  The kernel reads ``random.Random.random()``
+in bulk from numpy's ``MT19937`` (the same generator, so the same doubles),
+and runs full steps in windows that assume no target or source is drawn
+twice: every target and source of a window comes from a few array
+operations, and the window is committed up to its first step with a repeat.
+That step, and each warm-up step of a seed smaller than ``max(m, m_hat)``,
+is drawn one attachment at a time with its redraws.  Each step's out-edges
+are stored in the iteration order of CPython's ``set`` of its targets, which
+the window reproduces from the hash slots.  So the records, the network and
+the generator state afterwards are those of drawing one attachment at a
+time.  The in-degree ``k`` of each pick comes from ranks after growth, and
+the pre-step counts ``e_prev`` and ``n_prev`` and the ``step`` column do not
+depend on the draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -122,12 +135,18 @@ class GrowingNetwork:
 
     Nodes are dense integer ids ``0..n-1``.  ``_edge_targets`` holds one
     entry per edge (its target), so a uniform index into it is a draw
-    proportional to in-degree.  ``edges`` is kept only when requested.
+    proportional to in-degree; it is an int64 ``array`` so that growth reads
+    it as a numpy view and extends it by one copy.  ``edges`` is kept only
+    when requested.
     """
 
     in_degree: list = field(default_factory=list)
     edges: list | None = None
-    _edge_targets: list = field(default_factory=list)
+    _edge_targets: array = field(default_factory=lambda: array("q"))
+
+    def __post_init__(self):
+        if not isinstance(self._edge_targets, array):
+            self._edge_targets = array("q", self._edge_targets)
 
     @property
     def node_count(self) -> int:
@@ -162,14 +181,333 @@ def attachment_probability(k: int, e_prev: int, n_prev: int, alpha: float) -> fl
     return alpha * (k / e_prev - 1 / n_prev) + 1 / n_prev
 
 
+_DRAW_CHUNK = 1 << 16  # draws generated at a time: bounds the buffer for any T
+_BULK_MIN = 1 << 13  # draws below which moving the generator state costs more
+_MIN_WINDOW, _MAX_WINDOW = 16, 4096  # steps speculated at once
+
+
+class _Draws:
+    """The ``rng.random()`` stream, drawn ahead in chunks.
+
+    ``Random.random`` is MT19937 read through ``genrand_res53``; numpy's
+    ``MT19937`` loaded with the same key and position yields the same doubles
+    from ``Generator.random``, in bulk.  Moving the state there and back
+    costs about as much as ``_BULK_MIN`` single draws, so a call needing
+    fewer draws takes them from ``rng.random()`` itself.  ``buf`` holds draws
+    ``start ..`` of the stream and ``pos`` counts those consumed.  No chunk
+    reaches past the draws the growth is sure to consume, so at the end every
+    draw is consumed and the generator's state is the one to write back.
+    """
+
+    def __init__(self, rng: random.Random, total: int):
+        self._rng, self._bits = rng, None
+        if total >= _BULK_MIN:
+            self._version, internal, self._gauss = rng.getstate()
+            self._bits = np.random.MT19937(0)
+            self._bits.state = {"bit_generator": "MT19937", "state": {
+                "key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]}}
+            self._gen = np.random.Generator(self._bits)
+        self.buf = np.empty(0)
+        self.start = self.pos = 0
+
+    def available(self) -> int:
+        return self.start + len(self.buf) - self.pos
+
+    def refill(self, count: int) -> None:
+        """Draw ``count`` more after the unconsumed ones; all will be consumed."""
+        if self._bits is not None:
+            fresh = self._gen.random(count)
+        else:
+            draw = self._rng.random
+            fresh = np.array([draw() for _ in range(count)])
+        self.buf = np.concatenate([self.buf[self.pos - self.start:], fresh])
+        self.start = self.pos
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` draws, not yet consumed."""
+        i = self.pos - self.start
+        return self.buf[i:i + count]
+
+    def next(self, ahead: int) -> float:
+        """Consume one draw, drawing ``ahead`` more if none is left."""
+        if not self.available():
+            self.refill(ahead)
+        self.pos += 1
+        return float(self.buf[self.pos - 1 - self.start])
+
+    def write_back(self) -> None:
+        """Leave ``rng`` as if it had made every draw consumed."""
+        if self.available():
+            raise RuntimeError("growth drew past the draws it consumed")
+        if self._bits is not None:
+            state = self._bits.state["state"]
+            self._rng.setstate((self._version, tuple(state["key"].tolist()) + (state["pos"],),
+                                self._gauss))
+
+
+def _set_mask(size: int) -> int:
+    """Table mask of a CPython set after ``size`` distinct insertions.
+
+    ``set.add`` resizes once fill*5 >= mask*3, to the smallest power of two
+    above 4*used (2*used past 50000 entries); every insertion here is new.
+    """
+    mask = 7
+    for used in range(1, size + 1):
+        if used * 5 >= mask * 3:
+            table = 8
+            while table <= (used * 2 if used > 50000 else used * 4):
+                table <<= 1
+            mask = table - 1
+    return mask
+
+
+def _set_order(rows: np.ndarray, bits: int, keys: np.ndarray | None = None) -> np.ndarray:
+    """Each row of distinct ints in [0, 2**bits) in the iteration order of
+    the set its values are added to, left to right.
+
+    Such an int hashes to itself, so the set holds ``v`` at slot ``v & mask``
+    and iterates by slot, unless two values share a slot; then probing
+    decides, and those rows are built as real sets.  ``keys``, if given, are
+    the rows' ``(v & mask) << bits | v`` already sorted along each row.
+    """
+    width = rows.shape[1]
+    if width < 2:
+        return rows
+    if keys is None:
+        keys = np.sort(((rows & _set_mask(width)) << bits) | rows, axis=1)
+    out, slots = keys & ((1 << bits) - 1), keys >> bits
+    clash = np.flatnonzero(slots[:, 1:] == slots[:, :-1]) // (width - 1)
+    if len(clash):
+        out[clash] = list(map(list, map(set, rows[clash].tolist())))
+    return out
+
+
+class _Growth:
+    """One call's growth, written into preallocated arrays.
+
+    ``targets`` is the whole edge-target list, the network's edges first;
+    ``sources`` (kept only with edge storage) holds the new edges' sources,
+    response sources in the order drawn until :meth:`finish`.  ``picks``
+    holds the targets of each step in draw order, one per record.
+    """
+
+    def __init__(self, net: GrowingNetwork, params: ModelParams, steps: int,
+                 rng: random.Random):
+        self.m, self.m_hat, self.alpha = params.m, params.m_hat, params.alpha
+        self.n0, self.e0 = net.node_count, net.edge_count
+        self.n_prev = np.arange(self.n0, self.n0 + steps, dtype=np.int64)
+        self.per_step = np.minimum(self.m, self.n_prev)
+        self.responses = np.minimum(self.m_hat, self.n_prev)
+        added = self.per_step + self.responses
+        self.e_prev = self.e0 + np.cumsum(added) - added
+        self.first_pick = np.cumsum(self.per_step) - self.per_step
+        self.budget = 2 * self.per_step + self.responses  # draws of a step without redraws
+        self.budget_left = np.cumsum(self.budget[::-1])[::-1]
+        # draw * count as Python computes it: the count converted to a double
+        self.n_float, self.e_float = self.n_prev.astype(float), self.e_prev.astype(float)
+        self.warm_up = min(steps, max(0, self.m - self.n0, self.m_hat - self.n0))
+        # node ids are below 2**bits, so (slot << bits) | id fits in int64:
+        # SampleLog bounds n_prev * e_prev, hence ids and slots, by 2**53
+        self.bits = (self.n0 + steps).bit_length()
+        self.mask = _set_mask(self.m)
+        self.targets = np.empty(self.e0 + int(added.sum()), dtype=np.int64)
+        self.targets[:self.e0] = np.frombuffer(net._edge_targets, dtype=np.int64)
+        self.sources = np.empty(len(self.targets), dtype=np.int64) if net.edges is not None else None
+        self.picks = np.empty(int(self.per_step.sum()), dtype=np.int64)
+        self.draws = _Draws(rng, int(self.budget_left[0]))
+
+    def ensure(self, t: int, count: int) -> None:
+        """Have at least ``count`` draws buffered, ``count`` <= step t's budget.
+
+        A refill stops at the budget of steps t.., which every draw from
+        step t on is sure to consume."""
+        have = self.draws.available()
+        if have < count:
+            self.draws.refill(max(count, min(_DRAW_CHUNK, int(self.budget_left[t]))) - have)
+
+    def spare(self, t: int) -> int:
+        """Draws to fetch on a redraw in step t: the redraw and later steps' budget."""
+        later = int(self.budget_left[t + 1]) if t + 1 < len(self.budget_left) else 0
+        return min(_DRAW_CHUNK, 1 + later)
+
+    def scalar_step(self, t: int) -> None:
+        """Step t drawn one attachment at a time, redraws included."""
+        n, e, alpha = self.n0 + t, int(self.e_prev[t]), self.alpha
+        n_picks, n_sources = min(self.m, n), min(self.m_hat, n)
+        budget = 2 * n_picks + n_sources  # a step takes at least its budget
+        self.ensure(t, budget)
+        first = self.draws.take(budget).tolist()
+        self.draws.pos += budget
+        draw = itertools.chain(first, iter(lambda: self.draws.next(self.spare(t)), None)).__next__
+        targets = self.targets
+        chosen: set[int] = set()
+        picks = []
+        for _ in range(n_picks):
+            while True:
+                if draw() < alpha:
+                    v = int(targets[int(draw() * e)])
+                else:
+                    v = int(draw() * n)
+                if v not in chosen:
+                    break
+            chosen.add(v)
+            picks.append(v)
+        sources: set[int] = set()
+        drawn = []
+        while len(sources) < n_sources:
+            s = int(draw() * n)
+            if s not in sources:
+                sources.add(s)
+                drawn.append(s)
+        a, end = self.first_pick[t], e + n_picks + n_sources
+        self.picks[a:a + n_picks] = picks
+        targets[e:end] = list(chosen) + [n] * n_sources
+        if self.sources is not None:
+            self.sources[e:end] = [n] * n_picks + drawn
+
+    def window(self, t: int, size: int) -> tuple[int, int]:
+        """Speculate up to ``size`` full steps from step t at 2m + m_hat draws
+        each; commit those before the first with a repeated target or source.
+        Return the steps committed and the steps speculated."""
+        m, mask, bits = self.m, self.mask, self.bits
+        width, fan = 2 * m + self.m_hat, m + self.m_hat
+        self.ensure(t, width)
+        size = min(size, self.draws.available() // width)
+        u = self.draws.take(size * width).reshape(size, width)
+        n, e, first_node = self.n_float[t:t + size, None], int(self.e_prev[t]), self.n0 + t
+        draw = u[:, 1:2 * m:2]
+        picks = (draw * n).astype(np.int64)
+        flat = picks.ravel()
+        pref = (u[:, 0:2 * m:2] < self.alpha).ravel().nonzero()[0]
+        late, at_flat = iter(()), None
+        if len(pref):
+            slots = (draw * self.e_float[t:t + size, None]).astype(np.int64).ravel()[pref]
+            flat[pref] = self.targets.take(slots)
+            at = (slots >= e).nonzero()[0]  # slots added in this window
+            if len(at):
+                at_flat = pref[at]
+                late = zip(at_flat.tolist(), slots[at].tolist())
+        sources = (u[:, 2 * m:] * n).astype(np.int64)
+        # one sort per row finds repeats and orders the targets by hash slot:
+        # targets as (slot << bits) | id, sources above them all, and a slot
+        # added in this window as its own negative placeholder until resolved
+        keys = np.empty((size, fan), dtype=np.int64)
+        keys[:, :m] = ((picks & mask) << bits) | picks
+        keys[:, m:] = sources + (1 << 62)
+        if at_flat is not None:
+            keys[:, :m].flat[at_flat] = -1 - np.arange(len(at_flat))
+        keys.sort(axis=1)
+        stop = size
+        if fan > 1:
+            same = keys[:, 1:] == keys[:, :-1]
+            first = int(same.argmax())
+            if same.flat[first]:
+                stop = first // (fan - 1)
+        # one ascending pass resolves the slots added in this window: a
+        # response slot holds its step's new node, an out-slot the rank-th of
+        # that step's targets in set order.  A resolved row is checked for a
+        # repeat, and rows from the first repeat on are dropped.
+        order: dict[int, list] = {}
+        resolved = []
+        for j, group in itertools.groupby(late, key=lambda ref: ref[0] // m):
+            if j >= stop:
+                break
+            for at, slot in group:
+                row, rank = divmod(slot - e, fan)
+                if rank >= m:
+                    flat[at] = first_node + row
+                    continue
+                if row not in order:
+                    order[row] = list(set(picks[row].tolist()))
+                flat[at] = order[row][rank]
+            if len(set(picks[j].tolist())) < m:
+                stop = j
+            else:
+                resolved.append(j)
+        if stop:
+            if resolved:
+                fix = picks[resolved]
+                keys[resolved, :m] = np.sort(((fix & mask) << bits) | fix, axis=1)
+            a = self.first_pick[t]
+            self.picks[a:a + stop * m] = flat[:stop * m]
+            block = self.targets[e:e + stop * fan].reshape(stop, fan)
+            block[:, :m] = _set_order(picks[:stop], bits, keys[:stop, :m])
+            block[:, m:] = self.n_prev[t:t + stop, None]
+            if self.sources is not None:
+                block = self.sources[e:e + stop * fan].reshape(stop, fan)
+                block[:, :m], block[:, m:] = self.n_prev[t:t + stop, None], sources[:stop]
+            self.draws.pos += stop * width
+        return stop, size
+
+    def finish(self, net: GrowingNetwork, steps: int) -> "SampleLog":
+        """Extend the network by the edges grown; return the records."""
+        m_hat, n0, e0, picks, in_degree = self.m_hat, self.n0, self.e0, self.picks, net.in_degree
+        # k = entry in-degree + earlier picks of the same node (one per step):
+        # rank each pick in its node's group by sorting (node << shift) | index,
+        # below 2**63 since SampleLog bounds n_prev * e_prev by 2**53
+        total = len(picks)
+        shift = total.bit_length()
+        keys = np.sort((picks << shift) | np.arange(total))
+        node = keys >> shift
+        head = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+        sizes = np.diff(head, append=total)
+        earlier = np.empty_like(picks)
+        earlier[keys & ((1 << shift) - 1)] = np.arange(total) - np.repeat(head, sizes)
+        k = np.minimum(m_hat, picks) + earlier  # a new node enters with its responses
+        old = np.flatnonzero(picks < n0)
+        if len(old):
+            k[old] = earlier[old] + [in_degree[v] for v in picks[old].tolist()]
+        nodes = node[head]
+        n_old = int(np.searchsorted(nodes, n0))
+        for v, c in zip(nodes[:n_old].tolist(), sizes[:n_old].tolist()):
+            in_degree[v] += c
+        new_in = self.responses.copy()
+        new_in[nodes[n_old:] - n0] += sizes[n_old:]
+        in_degree.extend(new_in.tolist())
+        net._edge_targets.frombytes(memoryview(self.targets[e0:]).cast("B"))
+        if net.edges is not None:
+            sources = self.sources
+            for t in range(self.warm_up):
+                a = int(self.e_prev[t] + self.per_step[t])
+                b = a + int(self.responses[t])
+                sources[a:b] = list(set(sources[a:b].tolist()))
+            if self.warm_up < steps:
+                full = sources[int(self.e_prev[self.warm_up]):].reshape(-1, self.m + m_hat)
+                full[:, self.m:] = _set_order(full[:, self.m:], self.bits)
+            net.edges.extend(zip(sources[e0:].tolist(), self.targets[e0:].tolist()))
+        return SampleLog(k, np.repeat(self.e_prev, self.per_step),
+                         np.repeat(self.n_prev, self.per_step),
+                         np.repeat(np.arange(1, steps + 1), self.per_step))
+
+
 def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
           rng: random.Random) -> "SampleLog":
     """Advance ``net`` by ``steps`` steps in place; return their records.
 
-    Rejection from the full mixture conditioned on "not chosen yet" equals
-    sequential renormalized draws without replacement.  With fewer than m
-    (m_hat) nodes, a step attaches to all of them (warm-up clipping).
+    The result, ``net`` and the state of ``rng`` afterwards equal those of
+    the model drawn one attachment at a time: each of a step's m targets
+    takes two ``rng.random()`` draws (preferential if the first is below
+    alpha, then a uniform slot of the edge-target list or a uniform node),
+    redrawn while already chosen, and each of its m_hat sources one draw,
+    redrawn while repeated.  Rejection from the full mixture conditioned on
+    "not chosen yet" equals sequential renormalized draws without
+    replacement.  With fewer than m (m_hat) nodes, a step attaches to all of
+    them (warm-up clipping).
+
+    The draws are made ahead in chunks (:class:`_Draws`).  Full steps run
+    in windows that assume no redraw, so each step takes exactly 2m + m_hat
+    draws: all targets at once, existing slots by one gather, slots added
+    inside the window by one ascending pass over earlier rows.  A window
+    commits the steps before its first repeated target or source; that step
+    and each warm-up step run through :meth:`_Growth.scalar_step`.  A window
+    grows while it commits whole and shrinks to twice the steps it committed
+    when it stops short.  Out-edges are stored in the iteration order of
+    CPython's ``set`` of the step's targets, as the per-attachment form
+    stored them (``_set_order``); each ``k`` comes from ranks at the end.
     """
+    if type(rng) is not random.Random:
+        # a subclass may override random(), which the bulk stream would bypass
+        raise TypeError(f"growth needs a random.Random, got {type(rng).__name__}")
     m, m_hat, alpha = params.m, params.m_hat, params.alpha
     n0, e0 = net.node_count, net.edge_count
     if n0 < 1:
@@ -183,53 +521,33 @@ def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
         if need > have:
             raise StructuralError(f"alpha=1 with m_hat=0 needs {need} nodes of positive "
                                   f"in-degree, the network has {have}")
+    if not steps:
+        return SampleLog.empty()
 
-    in_degree = net.in_degree
-    targets = net._edge_targets
-    edges = net.edges
-    draw = rng.random
-    ks: list[int] = []
-    record = ks.append
-    for n_prev in range(n0, n0 + steps):
-        e_prev = len(targets)
-        chosen: set[int] = set()
-        for _ in range(min(m, n_prev)):
-            while True:
-                if draw() < alpha:
-                    v = targets[int(draw() * e_prev)]
-                else:
-                    v = int(draw() * n_prev)
-                if v not in chosen:
-                    break
-            chosen.add(v)
-            record(in_degree[v])
-        sources: set[int] = set()
-        n_sources = min(m_hat, n_prev)
-        while len(sources) < n_sources:
-            sources.add(int(draw() * n_prev))
-
-        # the new node's id is n_prev; its out-edges precede its response edges
-        for v in chosen:
-            in_degree[v] += 1
-        in_degree.append(n_sources)
-        targets.extend(chosen)
-        targets.extend([n_prev] * n_sources)
-        if edges is not None:
-            edges.extend([(n_prev, v) for v in chosen])
-            edges.extend([(s, n_prev) for s in sources])
-
-    n_prev = np.arange(n0, n0 + steps, dtype=np.int64)
-    per_step = np.minimum(m, n_prev)
-    added = per_step + np.minimum(m_hat, n_prev)
-    e_prev = e0 + np.cumsum(added) - added
-    if len(in_degree) != n0 + steps or len(targets) != e0 + added.sum():
-        raise RuntimeError("growth loop broke the per-step node or edge budget")
-    return SampleLog(
-        ks,
-        np.repeat(e_prev, per_step),
-        np.repeat(n_prev, per_step),
-        np.repeat(np.arange(1, steps + 1), per_step),
-    )
+    growth = _Growth(net, params, steps, rng)
+    # a window spans 1.5 times a running mean of the steps from one repeat
+    # to the next: longer ones waste more rows past the repeat, shorter ones
+    # pay the fixed cost of a window more often
+    t, gap = 0, float(_MIN_WINDOW)
+    while t < steps:
+        if t < growth.warm_up:  # fewer than max(m, m_hat) nodes
+            growth.scalar_step(t)
+            t += 1
+            continue
+        size = min(_MAX_WINDOW, max(_MIN_WINDOW, int(1.5 * gap)), steps - t)
+        done, tried = growth.window(t, size)
+        t += done
+        if done < tried:  # step t repeats a target or a source
+            growth.scalar_step(t)
+            t += 1
+            gap = 0.7 * gap + 0.3 * (done + 1)
+        else:
+            gap = min(_MAX_WINDOW, 2 * gap)
+    growth.draws.write_back()
+    log = growth.finish(net, steps)
+    if len(net.in_degree) != n0 + steps or len(net._edge_targets) != len(growth.targets):
+        raise RuntimeError("growth broke the per-step node or edge budget")
+    return log
 
 
 def grow_step(

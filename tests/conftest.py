@@ -7,7 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from mixnet import ModelParams, SampleLog, SeedSpec, grow_sequence, make_rng
+from mixnet import GrowingNetwork, ModelParams, SampleLog, SeedSpec, grow_sequence, make_rng
+from mixnet.netmodel import StructuralError
 
 
 def random_record(rng: random.Random, pool_bias: bool = False):
@@ -86,3 +87,76 @@ def head_sum_ccdf(params: ModelParams, k_max: int) -> list:
             out.append(1 - head)
             head += p
     return out
+
+
+def reference_grow(net: GrowingNetwork, params: ModelParams, steps: int,
+                   rng: random.Random) -> SampleLog:
+    """Advance ``net`` by ``steps`` steps in place; return their records.
+
+    The per-attachment loop that ``netmodel._grow`` replaced, kept verbatim
+    as the differential oracle for the windowed kernel.
+
+    Rejection from the full mixture conditioned on "not chosen yet" equals
+    sequential renormalized draws without replacement.  With fewer than m
+    (m_hat) nodes, a step attaches to all of them (warm-up clipping).
+    """
+    m, m_hat, alpha = params.m, params.m_hat, params.alpha
+    n0, e0 = net.node_count, net.edge_count
+    if n0 < 1:
+        raise StructuralError("network has no candidate targets")
+    if e0 < 1:
+        raise StructuralError("network has no edges; attachment weights undefined")
+    # at alpha=1 without response edges only nodes of positive in-degree can
+    # be drawn, so a step needing more distinct targets would never end
+    if steps and alpha == 1.0 and m_hat == 0:
+        need, have = min(m, n0 + steps - 1), sum(d > 0 for d in net.in_degree)
+        if need > have:
+            raise StructuralError(f"alpha=1 with m_hat=0 needs {need} nodes of positive "
+                                  f"in-degree, the network has {have}")
+
+    in_degree = net.in_degree
+    targets = net._edge_targets
+    edges = net.edges
+    draw = rng.random
+    ks: list[int] = []
+    record = ks.append
+    for n_prev in range(n0, n0 + steps):
+        e_prev = len(targets)
+        chosen: set[int] = set()
+        for _ in range(min(m, n_prev)):
+            while True:
+                if draw() < alpha:
+                    v = targets[int(draw() * e_prev)]
+                else:
+                    v = int(draw() * n_prev)
+                if v not in chosen:
+                    break
+            chosen.add(v)
+            record(in_degree[v])
+        sources: set[int] = set()
+        n_sources = min(m_hat, n_prev)
+        while len(sources) < n_sources:
+            sources.add(int(draw() * n_prev))
+
+        # the new node's id is n_prev; its out-edges precede its response edges
+        for v in chosen:
+            in_degree[v] += 1
+        in_degree.append(n_sources)
+        targets.extend(chosen)
+        targets.extend([n_prev] * n_sources)
+        if edges is not None:
+            edges.extend([(n_prev, v) for v in chosen])
+            edges.extend([(s, n_prev) for s in sources])
+
+    n_prev = np.arange(n0, n0 + steps, dtype=np.int64)
+    per_step = np.minimum(m, n_prev)
+    added = per_step + np.minimum(m_hat, n_prev)
+    e_prev = e0 + np.cumsum(added) - added
+    if len(in_degree) != n0 + steps or len(targets) != e0 + added.sum():
+        raise RuntimeError("growth loop broke the per-step node or edge budget")
+    return SampleLog(
+        ks,
+        np.repeat(e_prev, per_step),
+        np.repeat(n_prev, per_step),
+        np.repeat(np.arange(1, steps + 1), per_step),
+    )

@@ -270,7 +270,8 @@ class TestCite:
 
     def test_pinned_outputs(self, tmp_path):
         # digests of the outputs of the dict-based replay this one replaced, except
-        # ccdf.csv, whose theory columns now come from the closed tail sum
+        # ccdf.csv, whose theory columns now come from the closed tail sum over a
+        # pmf ratio that keeps (1 - alpha) as one factor
         edge_text, dates_text = self.pinned_corpus()
         edges, dates, out = tmp_path / "e.txt", tmp_path / "d.txt", tmp_path / "out"
         edges.write_bytes(edge_text.encode())
@@ -286,7 +287,7 @@ class TestCite:
             "estimates.json":
                 "a0c565c3cd123e6912d10d9cdac1d7fe6b2b79851bf81f5c611d129ef7b03f45",
             "ccdf.csv":
-                "14b6257560fc0efe5938b69d39860e2dea5b36ebdf4d784135ab2485b33b9ab5",
+                "33dd3f1a8952819b58c38ab9e9ed8b3aacdfa355fc4d20f55c3d90ada2f4de80",
             "replay_manifest.json":
                 "5819af36460dd94a7527fe9a6edae33563b4b32e5b220439c64c029b583ac251",
         }

@@ -154,12 +154,8 @@ def _oracle_cases():
         for a in (0.0, 0.2, 0.6, 1.0 - 1e-8, 1.0):
             if not (a == 1.0 and mh == 0):
                 yield pytest.param(ModelParams(m=m, m_hat=mh, alpha=a), id=f"m{m}-mh{mh}-a{a}")
-    yield pytest.param(
-        ModelParams(m=5, m_hat=0, alpha=1.0 - 1e-8), id="m5-mh0-a0.99999999",
-        marks=pytest.mark.xfail(strict=True, reason=(
-            "the pmf ratio at k = 1 computes m^2 (1 - alpha) as alpha (-m^2) + m^2 and "
-            "keeps only 8 digits; the pmf itself is off by 6.7e-9 relative")),
-    )
+    # m^2 (1 - alpha) at k = 1 cancels unless the ratio keeps (1 - alpha) whole
+    yield pytest.param(ModelParams(m=5, m_hat=0, alpha=1.0 - 1e-8), id="m5-mh0-a0.99999999")
 
 
 class TestCcdfOracle:

@@ -4,10 +4,11 @@ import hashlib
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixnet import (
@@ -21,7 +22,17 @@ from mixnet import (
     grow_step,
     make_rng,
 )
-from mixnet.netmodel import StructuralError, read_seed_spec, write_edge_list
+from mixnet import netmodel
+from mixnet.netmodel import (
+    StructuralError,
+    _Draws,
+    _grow,
+    _set_order,
+    read_seed_spec,
+    write_edge_list,
+)
+
+from conftest import reference_grow
 
 
 class TestAttachmentProbability:
@@ -272,6 +283,115 @@ class TestGrowSequence:
         with pytest.warns(UserWarning):
             net, log = grow_sequence(SeedSpec.complete(3), params, 1, make_rng(0))
         assert len(log) == 3
+
+
+def _outcome(grow, net, params, steps, rng):
+    """The records of one growth call, or the StructuralError it raised."""
+    try:
+        return list(grow(net, params, steps, rng).records())
+    except StructuralError as exc:
+        return repr(exc)
+
+
+class TestGrowthKernel:
+    """The windowed kernel against the per-attachment loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        m_hat=st.integers(0, 4),
+        alpha=st.one_of(st.sampled_from([0.0, 1.0]),
+                        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        seed_nodes=st.integers(2, 6),
+        steps=st.integers(0, 400),
+        keep_edges=st.booleans(),
+        extra_steps=st.integers(0, 4),
+        stream=st.integers(0, 1000),
+        bulk=st.booleans(),
+    )
+    def test_matches_reference_loop(self, m, m_hat, alpha, seed_nodes, steps, keep_edges,
+                                    extra_steps, stream, bulk):
+        # bulk: every call draws through numpy's MT19937, else through rng.random()
+        # just below alpha = 1 without responses, a step short of nodes with
+        # positive in-degree redraws about 1 / (1 - alpha) times, in either form
+        assume(m_hat > 0 or alpha <= 0.99 or alpha == 1.0)
+        seed, params = SeedSpec.complete(seed_nodes), ModelParams(m=m, m_hat=m_hat, alpha=alpha)
+        nets, rngs, outcomes = [], [], []
+        for first, then in [(_grow, _grow_one), (reference_grow, reference_grow)]:
+            net, rng = GrowingNetwork.from_seed(seed, keep_edges=keep_edges), make_rng(stream)
+            with mock.patch.object(netmodel, "_BULK_MIN", 0 if bulk else 2**62):
+                records = [_outcome(first, net, params, steps, rng)]
+                records += [_outcome(then, net, params, 1, rng) for _ in range(extra_steps)]
+            nets.append(net)
+            rngs.append(rng.getstate())
+            outcomes.append(records)
+        kernel, loop = nets
+        assert outcomes[0] == outcomes[1]
+        assert kernel.in_degree == loop.in_degree
+        assert kernel._edge_targets == loop._edge_targets
+        assert kernel.edges == loop.edges
+        assert rngs[0] == rngs[1]
+
+    def test_pure_preferential_error_unchanged(self):
+        params = ModelParams(m=3, m_hat=0, alpha=1.0)
+        errors = []
+        for grow in (_grow, reference_grow):
+            net = GrowingNetwork.from_seed(SeedSpec.complete(2))
+            errors.append(_outcome(grow, net, params, 5, make_rng(0)))
+        assert errors[0] == errors[1]
+        assert "alpha=1 with m_hat=0 needs 3 nodes" in errors[0]
+
+    def test_rejects_random_subclass(self):
+        class Fixed(random.Random):
+            def random(self):
+                return 0.5
+
+        params = ModelParams(m=2, m_hat=1, alpha=0.5)
+        with pytest.raises(TypeError, match="random.Random"):
+            grow_sequence(SeedSpec.complete(4), params, 10, Fixed(0))
+        with pytest.raises(TypeError, match="random.Random"):
+            grow_step(GrowingNetwork.from_seed(SeedSpec.complete(4)), params, Fixed(0))
+
+
+def _grow_one(net, params, steps, rng):
+    """One step through grow_step, shaped like a growth call's result."""
+    assert steps == 1
+    return SampleLog.from_steps([grow_step(net, params, rng)[1]])
+
+
+class TestDrawStream:
+    """The draw buffer behind the kernel, in bulk (numpy MT19937) and direct."""
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    @pytest.mark.parametrize("consumed", [0, 1, 101, 311])
+    def test_draws_and_state_equal_random(self, consumed, bulk):
+        rng = random.Random(3)
+        for _ in range(consumed):
+            rng.random()
+        assert (rng.getstate()[1][-1] == 624) == (consumed == 0)  # fresh or mid-block
+        rng.gauss(0.0, 1.0)  # leaves gauss_next set
+        mirror = random.Random()
+        mirror.setstate(rng.getstate())
+        draws = _Draws(rng, netmodel._BULK_MIN if bulk else 0)
+        got = []
+        for chunk, used in [(700, 500), (1300, 1500)]:  # the second keeps 200 over
+            draws.refill(chunk)
+            got += draws.take(used).tolist()
+            draws.pos += used
+        assert got == [mirror.random() for _ in range(2000)]
+        draws.write_back()
+        assert rng.getstate() == mirror.getstate()
+        assert rng.getstate()[2] is not None
+        assert rng.random() == mirror.random()
+
+
+@pytest.mark.parametrize("width", range(1, 41))
+def test_set_order_matches_real_sets(width):
+    # values from a few table sizes' worth of ids, so many rows share a slot
+    gen = np.random.default_rng(width)
+    rows = np.array([gen.choice(40 * width + 8, size=width, replace=False)
+                     for _ in range(300)], dtype=np.int64)
+    assert _set_order(rows, 20).tolist() == [list(set(row)) for row in rows.tolist()]
 
 
 class TestSampleLog:
