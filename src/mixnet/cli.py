@@ -189,6 +189,8 @@ def cmd_cite(args, run: _Run) -> None:
     cutoff = datetime.date.fromisoformat(args.cutoff)
     ds = load_dataset(args.edges, args.dates)
     replay = replay_to_samplelog(build_replay(ds, cutoff))
+    if not len(replay.sample_log):
+        raise ValueError(f"no citations from papers dated after {cutoff}")
     replay.sample_log.to_csv(run.path("samplelog.csv"))
 
     mle_log = (
@@ -208,14 +210,15 @@ def cmd_cite(args, run: _Run) -> None:
         "median_citations_per_arrival": float(np.median(replay.citations_per_step)),
     })
 
-    # theoretical overlays at both estimates against the empirical ccdf
+    # theoretical overlays at both estimates (1 up to m_hat) against the empirical ccdf
     k_max = args.k_max or int(replay.in_degrees.max())
     emp_ccdf = ccdf_from_indegrees(replay.in_degrees, k_max)
     overlays = {}
     for name, alpha_hat in (("mle", mle_report.alpha_hat), ("em", em_trace.final_alpha)):
-        overlay = ModelParams(m=args.m, m_hat=args.m_hat, alpha=alpha_hat)
         overlays[name] = np.ones(k_max + 1)
-        overlays[name][args.m_hat:] = StationaryDistribution(overlay).ccdf_array(k_max)
+        if k_max >= args.m_hat:
+            overlay = ModelParams(m=args.m, m_hat=args.m_hat, alpha=alpha_hat)
+            overlays[name][args.m_hat:] = StationaryDistribution(overlay).ccdf_array(k_max)
     run.write_csv(
         "ccdf.csv", ["k", "ccdf_empirical", "ccdf_theory_mle", "ccdf_theory_em"],
         zip(range(k_max + 1), emp_ccdf.tolist(),

@@ -36,23 +36,27 @@ class EmConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
+def _mixture(ke, n_prev, alpha: float):
+    """Preferential and full mixture densities of a record or of arrays of them."""
+    pref = ke * alpha
+    return pref, pref + (1.0 - alpha) / n_prev
+
+
 def responsibility(record: AttachmentRecord, alpha: float) -> float:
     """Posterior probability that the record's edge used preferential attachment."""
-    pref = record.k / record.e_prev * alpha
-    rand = (1.0 - alpha) / record.n_prev
-    if pref + rand <= 0:
+    pref, total = _mixture(record.k / record.e_prev, record.n_prev, alpha)
+    if total <= 0:
         raise ValueError(
             f"zero mixture density for record {record} at alpha={alpha}"
         )
-    return pref / (pref + rand)
+    return pref / total
 
 
 def em_step(log: SampleLog, alpha: float) -> float:
     """One update: the mean responsibility over all records."""
     if len(log) == 0:
         raise ValueError("EM step on an empty log")
-    pref = log.k / log.e_prev * alpha
-    total = pref + (1.0 - alpha) / log.n_prev
+    pref, total = _mixture(log.k / log.e_prev, log.n_prev, alpha)
     if (total <= 0).any():
         i = int(np.argmax(total <= 0))
         raise ValueError(
@@ -82,8 +86,8 @@ def em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:
     Records with k = 0 are dropped by default (they carry no preferential
     mass and their responsibility is identically 0); set
     ``cfg.keep_zero_indegree`` to include them.  The per-record coefficients
-    are computed once; each iteration does the arithmetic of ``em_step`` and
-    ``log_likelihood`` on them.
+    are computed once; each iteration does the E-step of ``em_step``
+    (``_mixture``) and the objective of ``log_likelihood`` on them.
     """
     if len(log) == 0:
         raise ValueError("cannot estimate from an empty log")
@@ -101,8 +105,8 @@ def em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:
     trace.iterations.append((alpha, prev_loglik))
     for _ in range(cfg.max_iter):
         # the mixture densities are the factors the objective at alpha checked
-        pref = ke * alpha
-        new_alpha = float((pref / (pref + (1.0 - alpha) / n_prev)).mean())
+        pref, total = _mixture(ke, n_prev, alpha)
+        new_alpha = float((pref / total).mean())
         loglik = _sum_log_factors(log, d * new_alpha + c, new_alpha)
         if loglik < prev_loglik - MONOTONICITY_SLACK:
             raise RuntimeError(

@@ -7,10 +7,11 @@ they cite, form the seed; the remaining dated papers arrive one per step in
 pre-arrival network snapshot.
 
 Paper ids are interned once into integer codes in string order; cleaning
-and ordering are then masks and sorts on numpy columns.  A record's k is
-the target's seed in-degree plus its earlier citations; ``n_prev`` at step
-t counts the nodes whose entry step is below t (0 for seed nodes, else the
-earlier of the node's arrival and its first citation).
+and ordering are then masks, sorts and counts on numpy columns.  A record's
+k is the target's seed in-degree plus its earlier citations, ranked by the
+same sort as the growth kernel's k (``netmodel._repeat_rank``); ``n_prev``
+at step t counts the nodes whose entry step is below t (0 for seed nodes,
+else the earlier of the node's arrival and its first citation).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .netmodel import SampleLog, SeedSpec
+from .netmodel import SampleLog, SeedSpec, _repeat_rank
 
 log = logging.getLogger(__name__)
 
@@ -182,9 +183,7 @@ def replay_to_samplelog(seq: ReplaySequence) -> ReplayResult:
     n, steps, step, cited = len(seq.labels), len(seq.arrival_papers), seq.step, seq.cited
     seed_in, replay_in = np.bincount(seq.seed_cited, minlength=n), np.bincount(cited, minlength=n)
     # pairs are unique, so a target's earlier citations come from earlier steps
-    order = np.argsort(cited, kind="stable")
-    earlier = np.empty_like(cited)
-    earlier[order] = np.arange(len(cited)) - (np.cumsum(replay_in) - replay_in)[cited[order]]
+    earlier, _, _ = _repeat_rank(cited)
     per_step = np.bincount(step, minlength=steps + 1)[1:]
     e_prev = len(seq.seed_cited) + np.cumsum(per_step) - per_step
     entry = np.full(n, steps + 1, dtype=np.int64)

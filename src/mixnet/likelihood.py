@@ -9,10 +9,10 @@ bisecting the sign of the analytic derivative.
 
 The bracket (largest negative root, smallest positive root) and the count
 of positive roots come from one vectorized O(N) pass over the records
-(``root_bracket``); the prefix and per-step traces reuse that pass for all
-their solves.  ``root_profile``, the exact ``Fraction`` merge of every root
-with its multiplicity, is a diagnostic and test oracle, not on the estimate
-path.
+(``root_bracket``); the prefix and per-step traces compute the roots once
+and take each solve's bracket from the same reduction (``_bracket``).
+``root_profile``, the exact ``Fraction`` merge of every root with its
+multiplicity, is a diagnostic and test oracle, not on the estimate path.
 """
 
 from __future__ import annotations
@@ -264,22 +264,16 @@ def mle_estimate(log: SampleLog) -> MleReport:
 def prefix_estimates(log: SampleLog, steps) -> list[float]:
     """``mle_estimate(log.prefix(t)).alpha_hat`` for each t in ``steps``.
 
-    Coefficients, roots and running brackets are computed once for the
-    whole log, so each prefix costs only its bisection.
+    Coefficients and roots are computed once for the whole log; a prefix's
+    bracket (``_bracket``) is O(stop), like each of its bisection's steps.
     """
     d, c = _slope_intercept(log)
     negative, positive = _signed_roots(log)
-    max_negative = np.maximum.accumulate(negative)
-    min_positive = np.minimum.accumulate(positive)
-    n_positive = np.cumsum(positive < np.inf)
-    degree = n_positive + np.cumsum(negative > -np.inf)
     estimates = []
     for stop in np.searchsorted(log.step, steps, side="right").tolist():
         if stop == 0:
             raise ValueError("cannot estimate from an empty log")
-        i = stop - 1
-        bracket = RootBracket(float(max_negative[i]), float(min_positive[i]),
-                              int(n_positive[i]), int(degree[i]))
+        bracket = _bracket(negative[:stop], positive[:stop])
         estimates.append(_maximize(d[:stop], c[:stop], bracket))
     return estimates
 

@@ -15,13 +15,13 @@ and runs full steps in windows that assume no target or source is drawn
 twice: every target and source of a window comes from a few array
 operations, and the window is committed up to its first step with a repeat.
 That step, and each warm-up step of a seed smaller than ``max(m, m_hat)``,
-is drawn one attachment at a time with its redraws.  Each step's out-edges
-are stored in the iteration order of CPython's ``set`` of its targets, which
-the window reproduces from the hash slots.  So the records, the network and
-the generator state afterwards are those of drawing one attachment at a
-time.  The in-degree ``k`` of each pick comes from ranks after growth, and
-the pre-step counts ``e_prev`` and ``n_prev`` and the ``step`` column do not
-depend on the draws.
+is drawn one attachment at a time with its redraws.  A step's out-edges and
+response edges are stored in the iteration order of CPython's ``set`` of its
+targets and of its sources, which the window reproduces from the hash slots.
+So the records, the network and the generator state afterwards are those of
+drawing one attachment at a time.  The in-degree ``k`` of each pick comes
+from ranks after growth, and the pre-step counts ``e_prev`` and ``n_prev``
+and the ``step`` column do not depend on the draws.
 """
 
 from __future__ import annotations
@@ -144,10 +144,6 @@ class GrowingNetwork:
     edges: list | None = None
     _edge_targets: array = field(default_factory=lambda: array("q"))
 
-    def __post_init__(self):
-        if not isinstance(self._edge_targets, array):
-            self._edge_targets = array("q", self._edge_targets)
-
     @property
     def node_count(self) -> int:
         return len(self.in_degree)
@@ -164,7 +160,7 @@ class GrowingNetwork:
         for _, v in pairs:
             in_degree[v] += 1
         return cls(in_degree=in_degree, edges=pairs if keep_edges else None,
-                   _edge_targets=[v for _, v in pairs])
+                   _edge_targets=array("q", [v for _, v in pairs]))
 
     def in_degree_array(self) -> np.ndarray:
         return np.asarray(self.in_degree, dtype=np.int64)
@@ -282,13 +278,31 @@ def _set_order(rows: np.ndarray, bits: int, keys: np.ndarray | None = None) -> n
     return out
 
 
+def _repeat_rank(value: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per entry, the number of earlier entries of the same value; and the
+    distinct values, ascending, with their counts.
+
+    One sort of ``(value << shift) | index``, with ``shift`` the bit length of
+    ``len(value)``; values must be non-negative and below ``2**(63 - shift)``.
+    """
+    total = len(value)
+    shift = total.bit_length()
+    keys = np.sort((value << shift) | np.arange(total))
+    grouped = keys >> shift
+    head = np.flatnonzero(np.diff(grouped, prepend=-1))
+    counts = np.diff(head, append=total)
+    rank = np.empty_like(value)
+    rank[keys & ((1 << shift) - 1)] = np.arange(total) - np.repeat(head, counts)
+    return rank, grouped[head], counts
+
+
 class _Growth:
     """One call's growth, written into preallocated arrays.
 
     ``targets`` is the whole edge-target list, the network's edges first;
     ``sources`` (kept only with edge storage) holds the new edges' sources,
-    response sources in the order drawn until :meth:`finish`.  ``picks``
-    holds the targets of each step in draw order, one per record.
+    each step's response sources written in set order.  ``picks`` holds the
+    targets of each step in draw order, one per record.
     """
 
     def __init__(self, net: GrowingNetwork, params: ModelParams, steps: int,
@@ -353,17 +367,13 @@ class _Growth:
             chosen.add(v)
             picks.append(v)
         sources: set[int] = set()
-        drawn = []
         while len(sources) < n_sources:
-            s = int(draw() * n)
-            if s not in sources:
-                sources.add(s)
-                drawn.append(s)
+            sources.add(int(draw() * n))
         a, end = self.first_pick[t], e + n_picks + n_sources
         self.picks[a:a + n_picks] = picks
         targets[e:end] = list(chosen) + [n] * n_sources
         if self.sources is not None:
-            self.sources[e:end] = [n] * n_picks + drawn
+            self.sources[e:end] = [n] * n_picks + list(sources)
 
     def window(self, t: int, size: int) -> tuple[int, int]:
         """Speculate up to ``size`` full steps from step t at 2m + m_hat draws
@@ -435,29 +445,21 @@ class _Growth:
             block[:, m:] = self.n_prev[t:t + stop, None]
             if self.sources is not None:
                 block = self.sources[e:e + stop * fan].reshape(stop, fan)
-                block[:, :m], block[:, m:] = self.n_prev[t:t + stop, None], sources[:stop]
+                block[:, :m] = self.n_prev[t:t + stop, None]
+                block[:, m:] = _set_order(sources[:stop], bits)
             self.draws.pos += stop * width
         return stop, size
 
     def finish(self, net: GrowingNetwork, steps: int) -> "SampleLog":
         """Extend the network by the edges grown; return the records."""
-        m_hat, n0, e0, picks, in_degree = self.m_hat, self.n0, self.e0, self.picks, net.in_degree
-        # k = entry in-degree + earlier picks of the same node (one per step):
-        # rank each pick in its node's group by sorting (node << shift) | index,
-        # below 2**63 since SampleLog bounds n_prev * e_prev by 2**53
-        total = len(picks)
-        shift = total.bit_length()
-        keys = np.sort((picks << shift) | np.arange(total))
-        node = keys >> shift
-        head = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
-        sizes = np.diff(head, append=total)
-        earlier = np.empty_like(picks)
-        earlier[keys & ((1 << shift) - 1)] = np.arange(total) - np.repeat(head, sizes)
-        k = np.minimum(m_hat, picks) + earlier  # a new node enters with its responses
+        n0, e0, picks, in_degree = self.n0, self.e0, self.picks, net.in_degree
+        # k = entry in-degree + earlier picks of the same node (one per step);
+        # the rank keys fit in int64 since SampleLog bounds n_prev * e_prev by 2**53
+        earlier, nodes, sizes = _repeat_rank(picks)
+        k = np.minimum(self.m_hat, picks) + earlier  # a new node enters with its responses
         old = np.flatnonzero(picks < n0)
         if len(old):
             k[old] = earlier[old] + [in_degree[v] for v in picks[old].tolist()]
-        nodes = node[head]
         n_old = int(np.searchsorted(nodes, n0))
         for v, c in zip(nodes[:n_old].tolist(), sizes[:n_old].tolist()):
             in_degree[v] += c
@@ -466,15 +468,7 @@ class _Growth:
         in_degree.extend(new_in.tolist())
         net._edge_targets.frombytes(memoryview(self.targets[e0:]).cast("B"))
         if net.edges is not None:
-            sources = self.sources
-            for t in range(self.warm_up):
-                a = int(self.e_prev[t] + self.per_step[t])
-                b = a + int(self.responses[t])
-                sources[a:b] = list(set(sources[a:b].tolist()))
-            if self.warm_up < steps:
-                full = sources[int(self.e_prev[self.warm_up]):].reshape(-1, self.m + m_hat)
-                full[:, self.m:] = _set_order(full[:, self.m:], self.bits)
-            net.edges.extend(zip(sources[e0:].tolist(), self.targets[e0:].tolist()))
+            net.edges.extend(zip(self.sources[e0:].tolist(), self.targets[e0:].tolist()))
         return SampleLog(k, np.repeat(self.e_prev, self.per_step),
                          np.repeat(self.n_prev, self.per_step),
                          np.repeat(np.arange(1, steps + 1), self.per_step))
@@ -501,9 +495,10 @@ def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
     commits the steps before its first repeated target or source; that step
     and each warm-up step run through :meth:`_Growth.scalar_step`.  A window
     grows while it commits whole and shrinks to twice the steps it committed
-    when it stops short.  Out-edges are stored in the iteration order of
-    CPython's ``set`` of the step's targets, as the per-attachment form
-    stored them (``_set_order``); each ``k`` comes from ranks at the end.
+    when it stops short.  Out-edges and response edges are stored in the
+    iteration order of CPython's ``set`` of the step's targets and of its
+    sources, as the per-attachment form stored them (``_set_order``); each
+    ``k`` comes from ranks at the end (``_repeat_rank``).
     """
     if type(rng) is not random.Random:
         # a subclass may override random(), which the bulk stream would bypass
@@ -556,7 +551,9 @@ def grow_step(
     """Advance the network by one step, mutating ``net`` in place.
 
     Returns the network and the multiset of attachment records for the m
-    targets (response edges are not logged).
+    targets (response edges are not logged).  Each call pays the growth
+    kernel's fixed set-up, about 0.5 ms on a 20k-node network whatever the
+    step; a loop of steps should call :func:`grow_sequence` once instead.
     """
     return net, list(_grow(net, params, 1, rng).records())
 

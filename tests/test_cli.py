@@ -292,6 +292,31 @@ class TestCite:
                 "5819af36460dd94a7527fe9a6edae33563b4b32e5b220439c64c029b583ac251",
         }
 
+    @pytest.mark.parametrize("flags", [["--m-hat", 5, "--k-max", 3], ["--m-hat", 12]],
+                             ids=["k-max-below-m-hat", "data-max-below-m-hat"])
+    def test_overlay_below_support_is_one(self, tmp_path, flags):
+        # the pinned corpus's largest in-degree is 9
+        edge_text, dates_text = self.pinned_corpus()
+        edges, dates, out = tmp_path / "e.txt", tmp_path / "d.txt", tmp_path / "out"
+        edges.write_bytes(edge_text.encode())
+        dates.write_bytes(dates_text.encode())
+        assert run(["cite", edges, dates, "--cutoff", "2000-01-02", "--m", 12, *flags,
+                    "--out", out]) == 0
+        rows = [line.split(",") for line in (out / "ccdf.csv").read_text().split()[1:]]
+        assert len(rows) == 1 + (3 if "--k-max" in flags else 9)
+        assert all(r[2] == r[3] == "1.0" for r in rows)
+
+    def test_cutoff_without_arrival_citations_exits_1_before_writing(self, tmp_path, capsys):
+        edge_text, dates_text = self.pinned_corpus()
+        edges, dates, out = tmp_path / "e.txt", tmp_path / "d.txt", tmp_path / "out"
+        edges.write_bytes(edge_text.encode())
+        dates.write_bytes(dates_text.encode())
+        assert run(["cite", edges, dates, "--cutoff", "2100-01-01", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mixnet: error:")
+        assert "no citations from papers dated after 2100-01-01" in err
+        assert not out.exists()
+
     def test_rerun_from_manifest_params(self, tmp_path):
         edge_text, dates_text = self.pinned_corpus()
         edges, dates = tmp_path / "e.txt", tmp_path / "d.txt"

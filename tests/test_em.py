@@ -41,6 +41,23 @@ class TestResponsibility:
             responsibility(AttachmentRecord(0, 10, 5), 1.0)
 
 
+class TestSharedEStep:
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.6, 0.97])
+    def test_update_is_bit_identical(self, alpha):
+        # em_step, one em_estimate iteration and responsibility share one E-step
+        rng = random.Random(int(alpha * 100))
+        for _ in range(20):
+            log = random_log(rng, max_records=40, require_positive_k=True)
+            kept = log.drop_zero_indegree()
+            trace = em_estimate(log, EmConfig(alpha_init=alpha, max_iter=1))
+            assert trace.iterations[1][0] == em_step(kept, alpha)
+            for record in kept.records():
+                one = SampleLog.from_steps([[record]])
+                first = em_estimate(one, EmConfig(alpha_init=alpha, max_iter=1))
+                assert first.iterations[1][0] == em_step(one, alpha) \
+                    == responsibility(record, alpha)
+
+
 class TestEmStep:
     def test_pinned_mean(self):
         # responsibilities 2/3 and 1/2 -> mean 7/12

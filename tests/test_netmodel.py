@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mixnet import (
@@ -27,6 +27,7 @@ from mixnet.netmodel import (
     StructuralError,
     _Draws,
     _grow,
+    _repeat_rank,
     _set_order,
     read_seed_spec,
     write_edge_list,
@@ -392,6 +393,28 @@ def test_set_order_matches_real_sets(width):
     rows = np.array([gen.choice(40 * width + 8, size=width, replace=False)
                      for _ in range(300)], dtype=np.int64)
     assert _set_order(rows, 20).tolist() == [list(set(row)) for row in rows.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 7), max_size=80), st.booleans())
+@example([], False)
+@example([], True)
+@example([5], True)
+@example([3] * 50, False)
+@example([7] * 64, True)
+def test_repeat_rank_matches_counter(offsets, near_bound):
+    # near_bound puts the values just under the docstring's 2**(63 - shift)
+    base = 2 ** (63 - len(offsets).bit_length()) - 8 if near_bound else 0
+    value = np.array([base + v for v in offsets], dtype=np.int64)
+    seen: dict = {}
+    expect = []
+    for v in value.tolist():
+        expect.append(seen.get(v, 0))
+        seen[v] = seen.get(v, 0) + 1
+    rank, distinct, counts = _repeat_rank(value)
+    assert rank.tolist() == expect
+    assert distinct.tolist() == sorted(seen)
+    assert counts.tolist() == [seen[v] for v in sorted(seen)]
 
 
 class TestSampleLog:
