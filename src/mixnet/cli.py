@@ -51,8 +51,8 @@ def _dumps(obj) -> str:
 class _Run:
     """One subcommand call: its output directory, the files written, its manifest.
 
-    The directory is made on the first write, so a call that a flag check
-    rejects leaves nothing on disk.
+    The directory is made on the first write, and a subcommand computes all
+    its results before that, so a call that fails leaves nothing on disk.
     """
 
     def __init__(self, args):
@@ -115,8 +115,7 @@ def cmd_estimate(args, run: _Run) -> None:
 
     if args.method in ("mle", "both"):
         # k=0 records stay in the MLE input: they contribute roots at 1
-        report = mle_estimate(sample_log)
-        result["mle"] = report.to_dict()
+        result["mle"] = mle_estimate(sample_log).to_dict()
     if args.method in ("em", "both"):
         trace = em_estimate(sample_log, cfg)
         result["em"] = {
@@ -125,15 +124,17 @@ def cmd_estimate(args, run: _Run) -> None:
             "iterations": len(trace.iterations) - 1,
             "loglik": trace.iterations[-1][1],
         }
-        trace.to_csv(run.path("em_trace.csv"))
-    run.write_json("estimate.json", result)
-
     if args.trace:
         if args.snapshot_mode:
             rows = step_estimates(sample_log)
         else:
             steps = range(args.stride, sample_log.n_steps + 1, args.stride)
-            rows = zip(steps, prefix_estimates(sample_log, steps))
+            rows = list(zip(steps, prefix_estimates(sample_log, steps)))
+
+    if "em" in result:
+        trace.to_csv(run.path("em_trace.csv"))
+    run.write_json("estimate.json", result)
+    if args.trace:
         run.write_csv("trace.csv", ["t", "alpha_hat"], rows)
     print(_dumps(result))
 
@@ -191,24 +192,12 @@ def cmd_cite(args, run: _Run) -> None:
     replay = replay_to_samplelog(build_replay(ds, cutoff))
     if not len(replay.sample_log):
         raise ValueError(f"no citations from papers dated after {cutoff}")
-    replay.sample_log.to_csv(run.path("samplelog.csv"))
-
     mle_log = (
         replay.sample_log if args.keep_zero_indegree_mle
         else replay.sample_log.drop_zero_indegree()
     )
     mle_report = mle_estimate(mle_log)
     em_trace = em_estimate(replay.sample_log, em_cfg)
-    run.write_json("estimates.json", {
-        "mle": mle_report.to_dict(),
-        "em": {
-            "alpha_hat": em_trace.final_alpha,
-            "converged": em_trace.converged,
-        },
-        # the estimates above need records, hence at least one arrival
-        "mean_citations_per_arrival": float(np.mean(replay.citations_per_step)),
-        "median_citations_per_arrival": float(np.median(replay.citations_per_step)),
-    })
 
     # theoretical overlays at both estimates (1 up to m_hat) against the empirical ccdf
     k_max = args.k_max or int(replay.in_degrees.max())
@@ -219,6 +208,18 @@ def cmd_cite(args, run: _Run) -> None:
         if k_max >= args.m_hat:
             overlay = ModelParams(m=args.m, m_hat=args.m_hat, alpha=alpha_hat)
             overlays[name][args.m_hat:] = StationaryDistribution(overlay).ccdf_array(k_max)
+
+    replay.sample_log.to_csv(run.path("samplelog.csv"))
+    run.write_json("estimates.json", {
+        "mle": mle_report.to_dict(),
+        "em": {
+            "alpha_hat": em_trace.final_alpha,
+            "converged": em_trace.converged,
+        },
+        # the estimates above need records, hence at least one arrival
+        "mean_citations_per_arrival": float(np.mean(replay.citations_per_step)),
+        "median_citations_per_arrival": float(np.median(replay.citations_per_step)),
+    })
     run.write_csv(
         "ccdf.csv", ["k", "ccdf_empirical", "ccdf_theory_mle", "ccdf_theory_em"],
         zip(range(k_max + 1), emp_ccdf.tolist(),
@@ -235,10 +236,10 @@ _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
 
 def _config_value(action, value: str):
     """``value`` converted and checked as its flag's argument would be."""
-    if action.nargs == 0:  # a switch
+    if action.nargs == 0:  # a switch: its stored value when on
         if value.lower() not in _SWITCH_VALUES:
             raise ValueError(f"expected one of {'/'.join(_SWITCH_VALUES)}, got {value!r}")
-        return _SWITCH_VALUES[value.lower()]
+        return action.const if _SWITCH_VALUES[value.lower()] else not action.const
     converted = action.type(value) if action.type else value
     if action.choices is not None and converted not in action.choices:
         raise ValueError(f"expected one of {'/'.join(action.choices)}, got {value!r}")
@@ -253,7 +254,8 @@ def _config_defaults(path, subparsers: dict, subcommand: str) -> dict:
     subcommand has is an error.
     """
     options = {
-        name: {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+        name: {option[2:].replace("-", "_"): a for a in sub._actions if a.dest != "help"
+               for option in a.option_strings if option.startswith("--")}
         for name, sub in subparsers.items()
     }
     defaults = {}
@@ -269,7 +271,8 @@ def _config_defaults(path, subparsers: dict, subcommand: str) -> dict:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in options[subcommand]:
             try:
-                defaults[key] = _config_value(options[subcommand][key], value.strip())
+                action = options[subcommand][key]
+                defaults[action.dest] = _config_value(action, value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return defaults

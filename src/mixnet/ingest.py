@@ -1,10 +1,10 @@
 """Replay a timestamped citation dataset as a growth sequence.
 
 The dataset is a SNAP-style edge file (citing cited) plus a dates file
-(id<TAB>YYYY-MM-DD).  Papers dated up to a cutoff, together with the papers
-they cite, form the seed; the remaining dated papers arrive one per step in
-(date, id) order and their citations become attachment records against the
-pre-arrival network snapshot.
+(id<TAB>YYYY-MM-DD), read like seed edge lists (``netmodel._read_pairs``).
+Papers dated up to a cutoff, together with the papers they cite, form the
+seed; the remaining dated papers arrive one per step in (date, id) order and
+their citations become attachment records against the pre-arrival snapshot.
 
 Paper ids are interned once into integer codes in string order; cleaning
 and ordering are then masks, sorts and counts on numpy columns.  A record's
@@ -23,39 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .netmodel import SampleLog, SeedSpec, _repeat_rank
+from .netmodel import ParseError, SampleLog, SeedSpec, _read_pairs, _repeat_rank
 
 log = logging.getLogger(__name__)
-
-
-class ParseError(ValueError):
-    pass
-
-
-def _read_pairs(path, expected: str, dated: bool = False) -> tuple[list, list]:
-    """The two fields of each data line (not blank, not '#'), as two lists.
-
-    The first line without two fields, or (if ``dated``) whose second field
-    is not an ISO date, raises ParseError; the second fields become dates.
-    """
-    with open(path) as fh:
-        lines = [line.strip() for line in fh.read().split("\n")]
-    rows = [line for line in lines if line and line[0] != "#"]
-    counts = np.fromiter(map(len, map(str.split, rows)), dtype=np.int64, count=len(rows))
-    bad = min(np.flatnonzero(counts != 2).tolist(), default=len(rows))
-    fields = " ".join(rows[:bad]).split()
-    first, second = fields[0::2], fields[1::2]
-    error, cause = (f"expected '{expected}', got {rows[bad]!r}" if bad < len(rows) else None), None
-    for j, text in enumerate(second if dated else ()):
-        try:
-            second[j] = datetime.date.fromisoformat(text)
-        except ValueError as exc:
-            bad, error, cause = j, f"bad date {text!r}", exc
-            break
-    if error is not None:
-        number = [i for i, line in enumerate(lines, start=1) if line and line[0] != "#"][bad]
-        raise ParseError(f"{path}:{number}: {error}") from cause
-    return first, second
 
 
 @dataclass

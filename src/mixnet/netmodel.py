@@ -26,6 +26,7 @@ and the ``step`` column do not depend on the draws.
 
 from __future__ import annotations
 
+import datetime
 import itertools
 import random
 import sys
@@ -51,6 +52,10 @@ def _warn(message: str) -> None:
 
 class StructuralError(ValueError):
     """The growth step cannot be performed on the current network."""
+
+
+class ParseError(ValueError):
+    """A line of a pair-per-line input file is malformed."""
 
 
 class AttachmentRecord(NamedTuple):
@@ -317,8 +322,6 @@ class _Growth:
         self.first_pick = np.cumsum(self.per_step) - self.per_step
         self.budget = 2 * self.per_step + self.responses  # draws of a step without redraws
         self.budget_left = np.cumsum(self.budget[::-1])[::-1]
-        # draw * count as Python computes it: the count converted to a double
-        self.n_float, self.e_float = self.n_prev.astype(float), self.e_prev.astype(float)
         self.warm_up = min(steps, max(0, self.m - self.n0, self.m_hat - self.n0))
         # node ids are below 2**bits, so (slot << bits) | id fits in int64:
         # SampleLog bounds n_prev * e_prev, hence ids and slots, by 2**53
@@ -384,14 +387,14 @@ class _Growth:
         self.ensure(t, width)
         size = min(size, self.draws.available() // width)
         u = self.draws.take(size * width).reshape(size, width)
-        n, e, first_node = self.n_float[t:t + size, None], int(self.e_prev[t]), self.n0 + t
+        n, e, first_node = self.n_prev[t:t + size, None], int(self.e_prev[t]), self.n0 + t
         draw = u[:, 1:2 * m:2]
         picks = (draw * n).astype(np.int64)
         flat = picks.ravel()
         pref = (u[:, 0:2 * m:2] < self.alpha).ravel().nonzero()[0]
         late, at_flat = iter(()), None
         if len(pref):
-            slots = (draw * self.e_float[t:t + size, None]).astype(np.int64).ravel()[pref]
+            slots = (draw * self.e_prev[t:t + size, None]).astype(np.int64).ravel()[pref]
             flat[pref] = self.targets.take(slots)
             at = (slots >= e).nonzero()[0]  # slots added in this window
             if len(at):
@@ -699,20 +702,34 @@ def write_edge_list(net: GrowingNetwork, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
-def read_seed_spec(path) -> SeedSpec:
-    """Seed from an edge-list file: one 'src dst' pair per line, '#' comments."""
-    edges = []
-    nodes: dict = {}
+def _read_pairs(path, expected: str, dated: bool = False) -> tuple[list, list]:
+    """The two fields of each data line (not blank, not '#'), as two lists.
+
+    The first line without two fields, or (if ``dated``) whose second field
+    is not an ISO date, raises ParseError; the second fields become dates.
+    """
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'src dst', got {line!r}")
-            u, v = parts
-            nodes.setdefault(u, None)
-            nodes.setdefault(v, None)
-            edges.append((u, v))
-    return SeedSpec(tuple(nodes), tuple(edges))
+        lines = [line.strip() for line in fh.read().split("\n")]
+    rows = [line for line in lines if line and line[0] != "#"]
+    counts = np.fromiter(map(len, map(str.split, rows)), dtype=np.int64, count=len(rows))
+    bad = min(np.flatnonzero(counts != 2).tolist(), default=len(rows))
+    fields = " ".join(rows[:bad]).split()
+    first, second = fields[0::2], fields[1::2]
+    error, cause = (f"expected '{expected}', got {rows[bad]!r}" if bad < len(rows) else None), None
+    for j, text in enumerate(second if dated else ()):
+        try:
+            second[j] = datetime.date.fromisoformat(text)
+        except ValueError as exc:
+            bad, error, cause = j, f"bad date {text!r}", exc
+            break
+    if error is not None:
+        number = [i for i, line in enumerate(lines, start=1) if line and line[0] != "#"][bad]
+        raise ParseError(f"{path}:{number}: {error}") from cause
+    return first, second
+
+
+def read_seed_spec(path) -> SeedSpec:
+    """Seed from an edge-list file: 'src dst' pairs in the citation files' grammar."""
+    sources, targets = _read_pairs(path, "src dst")
+    edges = tuple(zip(sources, targets))
+    return SeedSpec(tuple(dict.fromkeys(itertools.chain.from_iterable(edges))), edges)

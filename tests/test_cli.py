@@ -7,8 +7,12 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixnet
 from mixnet import ModelParams, SampleLog, mle_estimate
@@ -130,6 +134,20 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("mixnet: error:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["both", "mle", "em"])
+    def test_trace_without_information_exits_1_before_writing(self, tmp_path, capsys, method):
+        # step 1 from a complete seed has k*n = e in every record: the prefix
+        # at t = 1 is flat in alpha
+        sim, out = tmp_path / "sim", tmp_path / "est"
+        assert run(["simulate", "complete:3", "--m", 5, "--m-hat", 3, "--alpha", 0.6,
+                    "--steps", 2000, "--rng-seed", 1, "--out", sim]) == 0
+        assert run(["estimate", sim / "samplelog.csv", "--trace", "--stride", 1,
+                    "--method", method, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mixnet: error:")
+        assert "all records are degenerate; likelihood is flat in alpha" in err
+        assert not out.exists()
 
     def test_zero_n_prev_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -317,6 +335,23 @@ class TestCite:
         assert "no citations from papers dated after 2100-01-01" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        ([], "log contains only zero-in-degree records"),
+        (["--drop-zero-indegree-mle", "--keep-zero-indegree-em"],
+         "cannot estimate from an empty log"),
+    ], ids=["em", "mle"])
+    def test_zero_indegree_arrivals_exit_1_before_writing(self, tmp_path, capsys, flags,
+                                                          message):
+        # each arrival cites a paper cited by no one before it: every record has k = 0
+        edges, dates, out = tmp_path / "e.txt", tmp_path / "d.txt", tmp_path / "out"
+        edges.write_text("A Z\nB A\nC B\n")
+        dates.write_text("A\t2000-01-01\nB\t2000-02-01\nC\t2000-03-01\n")
+        assert run(["cite", edges, dates, "--cutoff", "2000-01-15", "--m", 2, *flags,
+                    "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mixnet: error:") and message in err
+        assert not out.exists()
+
     def test_rerun_from_manifest_params(self, tmp_path):
         edge_text, dates_text = self.pinned_corpus()
         edges, dates = tmp_path / "e.txt", tmp_path / "d.txt"
@@ -385,12 +420,96 @@ class TestConfig:
         assert err.startswith(f"mixnet: error: {cfg}:2: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,flags", [
+        ("drop-zero-indegree-mle=yes", ["--drop-zero-indegree-mle"]),
+        ("drop_zero_indegree_mle=on", ["--drop-zero-indegree-mle"]),
+        ("drop-zero-indegree-mle=no", []),
+        ("keep-zero-indegree-mle=no", ["--drop-zero-indegree-mle"]),
+        ("keep-zero-indegree-mle=yes", ["--keep-zero-indegree-mle"]),
+    ])
+    def test_keys_are_option_names(self, tmp_path, line, flags):
+        # a key names its option, not the attribute the option stores into
+        edge_text, dates_text = TestCite.pinned_corpus()
+        edges, dates, cfg = tmp_path / "e.txt", tmp_path / "d.txt", tmp_path / "mixnet.cfg"
+        edges.write_bytes(edge_text.encode())
+        dates.write_bytes(dates_text.encode())
+        cfg.write_text(line + "\n")
+        argv = ["cite", edges, dates, "--cutoff", "2000-01-02", "--m", 3]
+        by_config, by_flag = tmp_path / "config", tmp_path / "flag"
+        assert run(["--config", cfg, *argv, "--out", by_config]) == 0
+        assert run([*argv, *flags, "--out", by_flag]) == 0
+        keep = "--drop-zero-indegree-mle" not in flags
+        assert read_manifest(by_config)["params"]["keep_zero_indegree_mle"] is keep
+        for name in ("estimates.json", "ccdf.csv"):
+            assert (by_config / name).read_bytes() == (by_flag / name).read_bytes()
+
     def test_other_subcommands_keys_ignored(self, tmp_path):
         cfg = tmp_path / "mixnet.cfg"
         cfg.write_text("steps=5\nmethod=em\ncutoff=2000-01-01\nk-max=9\n")
         out = tmp_path / "out"
         assert run(["--config", cfg, "simulate", "complete:4", "--out", out]) == 0
         assert read_manifest(out)["params"]["steps"] == 5
+
+
+class TestSeedAndConfigFuzz:
+    """Seed edge-list and config files of any text exit 0, 1 or 2, never raise.
+
+    Numbers stay small: steps and sizes come from short lists, since a large
+    ``--steps`` allocates arrays sized by the step count.
+    """
+
+    SEED_FRAGMENTS = ["a", "b", "c", "d", "é", "#", " ", "\t", "\x0c", "\x00", "\n", "\r\n",
+                      "\r", "a b\n", "b a\n", "c a\n", "a a\n", "a b c\n"]
+    SEED_EDGES = st.lists(
+        st.tuples(st.sampled_from([u + sep + v for u in "abcdef" for v in "abcdef" if u != v
+                                   for sep in (" ", "\t", "  ")]),
+                  st.sampled_from(["\n", "\r\n", "\n# c\n", "\n\n"])),
+        min_size=1, max_size=12, unique_by=lambda edge: tuple(edge[0].split()),
+    ).map(lambda edges: "".join(map("".join, edges)))
+    GOOD_LINES = ["m=1", "m=2", "m=3", "m-hat=0", "m-hat=1", "m_hat=2", "alpha=0", "alpha=0.5",
+                  "alpha=1", "rng-seed=7", "export-graph=yes", "export_graph=no", "method=em",
+                  "k-max=9", "drop-zero-indegree-mle=yes", "# comment", "", "  "]
+    KEYS = ["m", "m-hat", "alpha", "steps", "rng-seed", "export-graph", "method", "k-max",
+            "drop-zero-indegree-mle", "keep-zero-indegree-mle", "cutoff", "aplha", " steps "]
+    VALUES = ["0", "1", "2", "3", "5", "20", "50", "-1", "0.5", "1.5", "nan", "inf", "yes",
+              "no", "maybe", "", "x", "é", "complete:3", "2000-01-01"]
+    BUILTIN_SEEDS = ["complete:0", "complete:2", "complete:20", "complete:x"]
+    CONFIG_LINES = st.one_of(
+        st.sampled_from(GOOD_LINES),
+        st.sampled_from(GOOD_LINES),
+        st.sampled_from(GOOD_LINES),
+        st.tuples(st.sampled_from(KEYS), st.sampled_from(["=", " = "]),
+                  st.sampled_from(VALUES)).map("".join),
+        st.sampled_from(["no equals sign", "=", "=5", "\x00"]),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.one_of(
+            SEED_EDGES,
+            st.lists(st.sampled_from(SEED_FRAGMENTS), max_size=30).map("".join),
+            st.text(max_size=40),
+            st.sampled_from(BUILTIN_SEEDS),
+        ),
+        steps=st.integers(0, 50),
+        config=st.lists(CONFIG_LINES, max_size=5),
+        line_end=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_exits_0_1_or_2(self, seed, steps, config, line_end):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "mixnet.cfg")
+            with open(cfg, "w", encoding="utf-8", newline="") as fh:
+                fh.write(line_end.join([f"steps={steps}", *config]))
+            if seed not in self.BUILTIN_SEEDS:
+                path = os.path.join(tmp, "seed.edgelist")
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(seed)
+                seed = path
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(["--config", cfg, "simulate", seed,
+                             "--out", os.path.join(tmp, "out")])
+        assert code in (0, 1, 2)
 
 
 def test_version_flag(capsys):

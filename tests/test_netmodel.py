@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import os
 import random
+import tempfile
 import warnings
 from unittest import mock
 
@@ -22,8 +24,9 @@ from mixnet import (
     grow_step,
     make_rng,
 )
-from mixnet import netmodel
+from mixnet import ingest, netmodel
 from mixnet.netmodel import (
+    ParseError,
     StructuralError,
     _Draws,
     _grow,
@@ -561,6 +564,67 @@ class TestEdgeListIO:
         path.write_text("a b c\n")
         with pytest.raises(ValueError, match="expected 'src dst'"):
             read_seed_spec(path)
+
+    def test_read_seed_spec_parse_error(self, tmp_path):
+        # the seed reader is the citation reader, and raises its error type
+        path = tmp_path / "seed.edgelist"
+        path.write_text("# seed\r\na b\r\n\r\n  b\ta\r\nc\r\n")
+        with pytest.raises(ParseError) as exc:
+            read_seed_spec(path)
+        assert str(exc.value) == f"{path}:5: expected 'src dst', got 'c'"
+        assert ingest.ParseError is ParseError
+
+    LINE_ENDS = ["\n", "\r\n", "\r"]
+    LINES = st.one_of(
+        st.tuples(st.sampled_from(["a", "b", "c", "d", "a#", "é", "10"]),
+                  st.sampled_from([" ", "\t", "  \t", "\x0c"]),
+                  st.sampled_from(["a", "b", "c", "d", "#b", "é", "10"]),
+                  st.sampled_from(["", " ", "\t"])).map("".join),
+        st.sampled_from(["#", "# src dst", "  # indented", "\t#\tdst", "", " ", "\t\t",
+                         "a", "a b c", " a\tb\tc ", "\x00 a"]),
+        st.text(max_size=12),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.tuples(LINES, st.sampled_from(LINE_ENDS)), max_size=25),
+           final_end=st.booleans())
+    @example(lines=[], final_end=False)
+    @example(lines=[("# only a comment", "\r\n")], final_end=True)
+    def test_read_seed_spec_matches_line_loop(self, lines, final_end):
+        text = "".join(line + end for line, end in lines)
+        if lines and not final_end:
+            text = text[:-len(lines[-1][1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "seed.edgelist")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            outcomes = []
+            for read in (read_seed_spec, reference_read_seed_spec):
+                try:
+                    outcomes.append(read(path))
+                except ValueError as exc:
+                    outcomes.append(("error", str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+
+def reference_read_seed_spec(path) -> SeedSpec:
+    """The line-at-a-time seed reader that ``read_seed_spec`` replaced, kept
+    verbatim as the oracle of the shared pair reader."""
+    edges = []
+    nodes: dict = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'src dst', got {line!r}")
+            u, v = parts
+            nodes.setdefault(u, None)
+            nodes.setdefault(v, None)
+            edges.append((u, v))
+    return SeedSpec(tuple(nodes), tuple(edges))
 
 
 def test_make_rng_reproducible():
