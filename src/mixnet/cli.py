@@ -128,7 +128,11 @@ def cmd_estimate(args, run: _Run) -> None:
         if args.snapshot_mode:
             rows = step_estimates(sample_log)
         else:
-            steps = range(args.stride, sample_log.n_steps + 1, args.stride)
+            # a replayed log starts at its first arrival that cites anything
+            # (the estimates above have rejected an empty log)
+            first = int(sample_log.step[0])
+            start = -(-first // args.stride) * args.stride
+            steps = range(start, sample_log.n_steps + 1, args.stride)
             rows = list(zip(steps, prefix_estimates(sample_log, steps)))
 
     if "em" in result:

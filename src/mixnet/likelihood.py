@@ -2,17 +2,17 @@
 
 Each logged record (k, e_prev, n_prev) contributes a linear-in-alpha factor
 ``alpha * (k/e_prev - 1/n_prev) + 1/n_prev`` to the likelihood, so the full
-likelihood is a polynomial in alpha whose roots are ``e/(e - k*n)``.  The
-positive/negative root structure brackets the maximizer; within the bracket
-the log-likelihood is strictly concave, so the estimate is found by
-bisecting the sign of the analytic derivative.
+likelihood is a polynomial in alpha whose roots are ``e/(e - k*n)``.  A
+positive root is at least 1, since 0 < e - k*n <= e, and a negative root is
+below 0, so (0, 1) lies inside the roots' bracket, where the log-likelihood
+is strictly concave.  Every estimate bisects the sign of the analytic
+derivative over (0, 1) shrunk by ``INTERIOR_MARGIN``: k = 0 records put a
+root at 1, where such a factor is 0.
 
-The bracket (largest negative root, smallest positive root) and the count
-of positive roots come from one vectorized O(N) pass over the records
-(``root_bracket``); the prefix and per-step traces compute the roots once
-and take each solve's bracket from the same reduction (``_bracket``).
-``root_profile``, the exact ``Fraction`` merge of every root with its
-multiplicity, is a diagnostic and test oracle, not on the estimate path.
+One lockstep solver (``_maximize``, a row per solve) serves the MLE and
+both traces.  The bracket (``root_bracket``, one O(N) pass) is a report:
+``MleReport.bracket`` and Theorem 1's conditions.  ``root_profile``, the
+exact ``Fraction`` merge of the roots, is a diagnostic and test oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .netmodel import AttachmentRecord, SampleLog
 
-#: margin kept from bracket endpoints and from {0, 1}
+#: margin kept inside (0, 1)
 INTERIOR_MARGIN = 1e-9
 #: bisection stops when the interval is narrower than this
 BISECTION_WIDTH = 1e-10
@@ -147,34 +147,25 @@ class RootBracket:
     degree: int
 
 
-def _signed_roots(log: SampleLog) -> tuple[np.ndarray, np.ndarray]:
-    """Each record's root e/(e - k*n), split by sign and padded with -inf/+inf.
-
-    Counts stay below 2**53, so each float root is the correctly rounded
-    rational; rounding is monotone, so the float extremes equal the exact
-    extremes of ``root_profile``.  Degenerate records (e = k*n) have no
-    root and hold the padding in both arrays.
-    """
-    den = log.e_prev - log.k * log.n_prev
-    root = log.e_prev / np.where(den == 0, 1, den)
-    return np.where(den < 0, root, -np.inf), np.where(den > 0, root, np.inf)
-
-
-def _bracket(negative: np.ndarray, positive: np.ndarray) -> RootBracket:
-    n_positive = int(np.count_nonzero(positive < np.inf))
-    return RootBracket(
-        max_negative=float(negative.max()),
-        min_positive=float(positive.min()),
-        positive_multiplicity_sum=n_positive,
-        degree=n_positive + int(np.count_nonzero(negative > -np.inf)),
-    )
-
-
 def root_bracket(log: SampleLog) -> RootBracket:
-    """Extreme roots and positive-root count of the likelihood polynomial."""
+    """Extreme roots and positive-root count of the likelihood polynomial.
+
+    Each record's root is e/(e - k*n).  Counts stay below 2**53, so each
+    float root is the correctly rounded rational; rounding is monotone, so
+    the float extremes equal the exact extremes of ``root_profile``.
+    Degenerate records (e = k*n) have no root.
+    """
     if len(log) == 0:
         raise ValueError("root bracket of an empty log")
-    return _bracket(*_signed_roots(log))
+    den = log.e_prev - log.k * log.n_prev
+    root = log.e_prev / np.where(den == 0, 1, den)
+    negative, positive = root[den < 0], root[den > 0]
+    return RootBracket(
+        max_negative=float(negative.max(initial=-np.inf)),
+        min_positive=float(positive.min(initial=np.inf)),
+        positive_multiplicity_sum=len(positive),
+        degree=len(negative) + len(positive),
+    )
 
 
 def check_theorem1(profile: RootProfile | RootBracket) -> tuple[bool, str]:
@@ -213,68 +204,78 @@ class MleReport:
         return json.dumps(self.to_dict())
 
 
-def _derivative(d: np.ndarray, c: np.ndarray, alpha: float) -> float:
-    return float((d / (d * alpha + c)).sum())
+def _derivative(d: np.ndarray, c: np.ndarray, alpha, out: np.ndarray | None = None):
+    """Score sum(d / (d*alpha + c)) over the last axis; alpha is a float or a column."""
+    out = np.multiply(d, alpha, out=out)
+    out += c
+    np.divide(d, out, out=out)
+    return out.sum(axis=-1)
 
 
-def _maximize(d: np.ndarray, c: np.ndarray, bracket: RootBracket) -> float:
-    """Bisect the derivative's sign over the bracket intersected with (0, 1).
+def _maximize(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each row's maximizer over (0, 1) shrunk by the interior margin.
 
-    The interval is shrunk by a small interior margin; the derivative is
-    monotone on it by concavity.
+    A row holds one solve's coefficients; by concavity its derivative
+    decreases on the interval.  A row whose derivative has its sign at an
+    end stops there; the others bisect in lockstep, each until its interval
+    is at most ``BISECTION_WIDTH`` wide.  Row sums of a C-contiguous array
+    equal 1-D sums, so a row takes the steps of a solve of its records alone.
     """
-    if bracket.degree == 0:
-        raise NoInformationError("all records are degenerate; likelihood is flat in alpha")
-    lo = max(bracket.max_negative, 0.0) + INTERIOR_MARGIN
-    hi = min(bracket.min_positive, 1.0) - INTERIOR_MARGIN
-    if not lo < hi:
-        raise ValueError(f"empty maximization interval ({lo}, {hi})")
-
-    if _derivative(d, c, lo) <= 0:
-        return lo
-    if _derivative(d, c, hi) >= 0:
-        return hi
-    left, right = lo, hi
-    while right - left > BISECTION_WIDTH:
+    lo, hi = INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN
+    out = np.empty_like(d)
+    at_lo = _derivative(d, c, lo, out) <= 0
+    at_hi = _derivative(d, c, hi, out) >= 0
+    alpha = np.where(at_lo, lo, hi)
+    rows = np.flatnonzero(~(at_lo | at_hi))
+    if len(rows) < len(d):
+        d, c = d[rows], c[rows]
+    left, right = np.full(len(rows), lo), np.full(len(rows), hi)
+    while len(rows):
         mid = 0.5 * (left + right)
-        if _derivative(d, c, mid) > 0:
-            left = mid
-        else:
-            right = mid
-    return 0.5 * (left + right)
+        up = _derivative(d, c, mid[:, None], out[:len(rows)]) > 0
+        left, right = np.where(up, mid, left), np.where(up, right, mid)
+        done = right - left <= BISECTION_WIDTH
+        if done.any():
+            alpha[rows[done]] = 0.5 * (left[done] + right[done])
+            rows, d, c, left, right = (a[~done] for a in (rows, d, c, left, right))
+    return alpha
 
 
 def mle_estimate(log: SampleLog) -> MleReport:
-    """Maximize the log-likelihood over the admissible interval inside (0, 1)."""
+    """Maximize the log-likelihood over (0, 1) shrunk by the interior margin."""
     if len(log) == 0:
         raise ValueError("cannot estimate from an empty log")
     bracket = root_bracket(log)
+    if bracket.degree == 0:
+        raise NoInformationError("all records are degenerate; likelihood is flat in alpha")
     d, c = _slope_intercept(log)
-    alpha_hat = _maximize(d, c, bracket)
+    alpha_hat = float(_maximize(d[None], c[None])[0])
     satisfied, _ = check_theorem1(bracket)
     return MleReport(
         alpha_hat=alpha_hat,
         bracket=(bracket.max_negative, bracket.min_positive),
         theorem1_satisfied=satisfied,
         positive_multiplicity_parity="even" if bracket.positive_multiplicity_sum % 2 == 0 else "odd",
-        log_likelihood_at_max=log_likelihood(log, alpha_hat),
+        log_likelihood_at_max=_sum_log_factors(log, d * alpha_hat + c, alpha_hat),
     )
 
 
 def prefix_estimates(log: SampleLog, steps) -> list[float]:
     """``mle_estimate(log.prefix(t)).alpha_hat`` for each t in ``steps``.
 
-    Coefficients and roots are computed once for the whole log; a prefix's
-    bracket (``_bracket``) is O(stop), like each of its bisection's steps.
+    Coefficients are computed once; each prefix is a one-row batch over a
+    view of them, informative from the first record with e != k*n on.
     """
     d, c = _slope_intercept(log)
-    negative, positive = _signed_roots(log)
+    informative = np.flatnonzero(log.e_prev != log.k * log.n_prev)
+    first = informative[0] if len(informative) else len(log)
     estimates = []
     for stop in np.searchsorted(log.step, steps, side="right").tolist():
         if stop == 0:
             raise ValueError("cannot estimate from an empty log")
-        bracket = _bracket(negative[:stop], positive[:stop])
-        estimates.append(_maximize(d[:stop], c[:stop], bracket))
+        if stop <= first:
+            raise NoInformationError("all records are degenerate; likelihood is flat in alpha")
+        estimates.append(float(_maximize(d[None, :stop], c[None, :stop])[0]))
     return estimates
 
 
@@ -283,18 +284,16 @@ def step_estimates(log: SampleLog) -> list[tuple[int, float]]:
 
     Steps without records, or whose records are all degenerate (as in the
     first step from a regular seed such as a complete graph), carry no
-    information on alpha and are skipped.
+    information on alpha and are skipped; the rest form one batch per width.
     """
-    if len(log) == 0:
-        return []
     d, c = _slope_intercept(log)
-    negative, positive = _signed_roots(log)
-    starts = (np.flatnonzero(np.diff(log.step)) + 1).tolist()
-    estimates = []
-    for start, stop in zip([0, *starts], [*starts, len(log)]):
-        bracket = _bracket(negative[start:stop], positive[start:stop])
-        if bracket.degree:
-            estimates.append(
-                (int(log.step[start]), _maximize(d[start:stop], c[start:stop], bracket))
-            )
-    return estimates
+    starts = np.flatnonzero(np.diff(log.step, prepend=0))
+    widths = np.diff(starts, append=len(log))
+    informative = np.add.reduceat(log.e_prev != log.k * log.n_prev, starts) > 0
+    starts, widths = starts[informative], widths[informative]
+    alpha = np.empty(len(starts))
+    for width in np.unique(widths).tolist():
+        group = np.flatnonzero(widths == width)
+        rows = starts[group, None] + np.arange(width)
+        alpha[group] = _maximize(d[rows], c[rows])
+    return list(zip(log.step[starts].tolist(), alpha.tolist()))

@@ -521,6 +521,13 @@ def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
                                   f"in-degree, the network has {have}")
     if not steps:
         return SampleLog.empty()
+    # SampleLog's 2**53 bound on n_prev * e_prev, checked before _Growth sizes arrays
+    e_last = e0
+    for cap in (m, m_hat):  # a step adds min(cap, n_prev) edges
+        warm = min(steps - 1, max(0, cap - n0))  # of the steps before the last, n_prev < cap
+        e_last += warm * n0 + warm * (warm - 1) // 2 + cap * (steps - 1 - warm)
+    if e_last > (2**53 - 1) // (n0 + steps - 1):
+        raise ValueError(f"{steps} steps take e_prev * n_prev past 2**53")
 
     growth = _Growth(net, params, steps, rng)
     # a window spans 1.5 times a running mean of the steps from one repeat

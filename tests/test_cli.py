@@ -9,13 +9,14 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixnet
-from mixnet import ModelParams, SampleLog, mle_estimate
+from mixnet import ModelParams, SampleLog, mle_estimate, netmodel
 from mixnet.cli import build_parser, main
 from mixnet.likelihood import NoInformationError
 
@@ -60,6 +61,16 @@ class TestSimulate:
     def test_missing_seed_file_exits_2(self, tmp_path, capsys):
         code = run(["simulate", tmp_path / "nope.edgelist", "--out", tmp_path])
         assert code == 2
+
+    def test_steps_past_record_bound_exit_1_before_growing(self, tmp_path, capsys):
+        # 10**9 steps of 8 edges take e_prev * n_prev past 2**53; the arrays
+        # sized by steps would need tens of gigabytes
+        out = tmp_path / "out"
+        with mock.patch.object(netmodel, "_Growth", side_effect=AssertionError("grew")):
+            assert run(["simulate", "complete:5", "--m", 5, "--m-hat", 3,
+                        "--steps", 10**9, "--out", out]) == 1
+        assert "1000000000 steps take e_prev * n_prev past 2**53" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -134,6 +145,24 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("mixnet: error:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("stride,ts", [(1, [2, 3]), (2, [2]), (3, [3]), (4, [])])
+    def test_prefix_trace_starts_at_first_logged_step(self, tmp_path, stride, ts):
+        # the first arrival cites nothing, so the replayed log starts at step 2
+        edges, dates, cite = tmp_path / "e.txt", tmp_path / "d.txt", tmp_path / "cite"
+        edges.write_text("A Z\nC A\nC B\nD A\nD C\n")
+        dates.write_text("A\t2000-01-01\nB\t2000-02-01\nC\t2000-03-01\nD\t2000-04-01\n")
+        assert run(["cite", edges, dates, "--cutoff", "2000-01-15", "--m", 2,
+                    "--out", cite]) == 0
+        log = SampleLog.from_csv(cite / "samplelog.csv")
+        assert (log.step[0], log.n_steps) == (2, 3)
+        out = tmp_path / "est"
+        assert run(["estimate", cite / "samplelog.csv", "--trace", "--stride", stride,
+                    "--out", out]) == 0
+        rows = [line.split(",") for line in (out / "trace.csv").read_text().split()[1:]]
+        assert [int(t) for t, _ in rows] == ts
+        assert [float(a) for _, a in rows] == [mle_estimate(log.prefix(t)).alpha_hat
+                                               for t in ts]
 
     @pytest.mark.parametrize("method", ["both", "mle", "em"])
     def test_trace_without_information_exits_1_before_writing(self, tmp_path, capsys, method):
@@ -508,6 +537,50 @@ class TestSeedAndConfigFuzz:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 code = main(["--config", cfg, "simulate", seed,
+                             "--out", os.path.join(tmp, "out")])
+        assert code in (0, 1, 2)
+
+
+class TestSampleLogFuzz:
+    """Sample-log CSV files of any text exit 0, 1 or 2 through estimate, never raise."""
+
+    HEADERS = ["step,k,e_prev,n_prev"] * 6 + ["step,k,e_prev", "k,step,e_prev,n_prev",
+                                              "step,k,e_prev,n_prev,x"]
+    FIELDS = st.one_of(st.integers(-2, 40).map(str),
+                       st.sampled_from(["", "x", "1.5", "nan", " 3", "9007199254740993", "-0"]))
+    # mostly valid records: a step that never falls, k <= e, e and n positive
+    RECORDS = st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 6), st.integers(1, 40), st.integers(1, 9)),
+        max_size=25,
+    ).map(lambda rows: [f"{1 + sum(r[0] for r in rows[:i + 1])},{min(k, e)},{e},{n}"
+                        for i, (_, k, e, n) in enumerate(rows)])
+    NOISE = st.one_of(st.just([]), st.lists(
+        st.one_of(st.lists(FIELDS, min_size=1, max_size=5).map(",".join), st.text(max_size=12)),
+        max_size=3))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        header=st.sampled_from(HEADERS),
+        records=RECORDS,
+        noise=NOISE,
+        at=st.integers(0, 25),
+        line_end=st.sampled_from(["\n", "\r\n"]),
+        text=st.one_of(st.none(), st.none(), st.none(), st.text(max_size=60)),
+        method=st.sampled_from(["both", "mle", "em"]),
+        trace=st.one_of(st.just([]), st.just(["--trace", "--snapshot-mode"]),
+                        st.sampled_from([1, 1, 2, 3, 7, 0, -1]).map(
+                            lambda k: ["--trace", "--stride", str(k)])),
+    )
+    def test_exits_0_1_or_2(self, header, records, noise, at, line_end, text, method, trace):
+        if text is None:
+            text = line_end.join([header, *records[:at], *noise, *records[at:]]) + line_end
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "samplelog.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(["estimate", path, "--method", method, *trace,
                              "--out", os.path.join(tmp, "out")])
         assert code in (0, 1, 2)
 

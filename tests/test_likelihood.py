@@ -2,10 +2,11 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixnet import (
@@ -25,8 +26,11 @@ from mixnet import (
     step_estimates,
 )
 from mixnet.likelihood import (
+    BISECTION_WIDTH,
+    INTERIOR_MARGIN,
     EvaluationError,
     NoInformationError,
+    RootBracket,
     _derivative,
     _slope_intercept,
 )
@@ -372,3 +376,184 @@ def test_loglik_finite_inside_unit_interval(alpha):
     rng = random.Random(int(alpha * 1e6))
     log = random_log(rng, max_records=15, require_positive_k=False)
     assert math.isfinite(log_likelihood(log, alpha))
+
+
+# --- the scalar solver every MLE solve used before the lockstep batch, kept
+# verbatim as a differential oracle, with the per-solve bracket it bisected
+
+
+def reference_signed_roots(log):
+    den = log.e_prev - log.k * log.n_prev
+    root = log.e_prev / np.where(den == 0, 1, den)
+    return np.where(den < 0, root, -np.inf), np.where(den > 0, root, np.inf)
+
+
+def reference_bracket(negative, positive):
+    n_positive = int(np.count_nonzero(positive < np.inf))
+    return RootBracket(
+        max_negative=float(negative.max()),
+        min_positive=float(positive.min()),
+        positive_multiplicity_sum=n_positive,
+        degree=n_positive + int(np.count_nonzero(negative > -np.inf)),
+    )
+
+
+def reference_derivative(d, c, alpha):
+    return float((d / (d * alpha + c)).sum())
+
+
+def reference_maximize(d, c, bracket):
+    if bracket.degree == 0:
+        raise NoInformationError("all records are degenerate; likelihood is flat in alpha")
+    lo = max(bracket.max_negative, 0.0) + INTERIOR_MARGIN
+    hi = min(bracket.min_positive, 1.0) - INTERIOR_MARGIN
+    if not lo < hi:
+        raise ValueError(f"empty maximization interval ({lo}, {hi})")
+
+    if reference_derivative(d, c, lo) <= 0:
+        return lo
+    if reference_derivative(d, c, hi) >= 0:
+        return hi
+    left, right = lo, hi
+    while right - left > BISECTION_WIDTH:
+        mid = 0.5 * (left + right)
+        if reference_derivative(d, c, mid) > 0:
+            left = mid
+        else:
+            right = mid
+    return 0.5 * (left + right)
+
+
+def reference_mle(log):
+    if len(log) == 0:
+        raise ValueError("cannot estimate from an empty log")
+    d, c = _slope_intercept(log)
+    return reference_maximize(d, c, reference_bracket(*reference_signed_roots(log)))
+
+
+def reference_prefix_estimates(log, steps):
+    d, c = _slope_intercept(log)
+    negative, positive = reference_signed_roots(log)
+    estimates = []
+    for stop in np.searchsorted(log.step, steps, side="right").tolist():
+        if stop == 0:
+            raise ValueError("cannot estimate from an empty log")
+        bracket = reference_bracket(negative[:stop], positive[:stop])
+        estimates.append(reference_maximize(d[:stop], c[:stop], bracket))
+    return estimates
+
+
+def reference_step_estimates(log):
+    if len(log) == 0:
+        return []
+    d, c = _slope_intercept(log)
+    negative, positive = reference_signed_roots(log)
+    starts = (np.flatnonzero(np.diff(log.step)) + 1).tolist()
+    estimates = []
+    for start, stop in zip([0, *starts], [*starts, len(log)]):
+        bracket = reference_bracket(negative[start:stop], positive[start:stop])
+        if bracket.degree:
+            estimates.append(
+                (int(log.step[start]), reference_maximize(d[start:stop], c[start:stop], bracket))
+            )
+    return estimates
+
+
+def outcome(estimator, *args):
+    """repr of the result, or the type and message of the ValueError raised."""
+    try:
+        return repr(estimator(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def model_logs(draw):
+    """Logs grown from a complete seed, at alpha in {0, 1} (boundary maxima) or inside."""
+    alpha = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    params = ModelParams(draw(st.integers(1, 6)), draw(st.integers(1, 3)), alpha)
+    seed = SeedSpec.complete(draw(st.integers(2, 6)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a seed below max(m, m_hat) warns
+        _, log = grow_sequence(seed, params, draw(st.integers(1, 80)),
+                               make_rng(draw(st.integers(0, 2**16))))
+    return log
+
+
+def cite_style_log(seed, steps, max_width, zero_share, degenerate_share):
+    """Steps of mixed record counts, with empty steps, k = 0 and degenerate records."""
+    rng = np.random.default_rng(seed)
+    width = rng.integers(0, max_width + 1, steps)
+    n = np.repeat(np.arange(10, 10 + steps), width)
+    e = np.repeat(20 + 13 * np.arange(steps), width)
+    k = rng.integers(0, 4 * e // n + 2)
+    k[rng.random(len(k)) < zero_share] = 0
+    degenerate = (rng.random(len(k)) < degenerate_share) & (e % n == 0)
+    k[degenerate] = (e // n)[degenerate]
+    return SampleLog(k, e, n, np.repeat(np.arange(1, steps + 1), width))
+
+
+@st.composite
+def cite_style_logs(draw):
+    return cite_style_log(
+        draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 60)),
+        draw(st.sampled_from([1, 3, 8, 20, 140])),
+        draw(st.sampled_from([0.0, 0.3, 1.0])), draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+
+
+def one_step_log(records):
+    """A single step of ``records`` records: one row of that width."""
+    k = np.random.default_rng(records).integers(0, 30, records)
+    full = np.full(records, 1)
+    return SampleLog(k, 60_000 * full, 5_000 * full, full)
+
+
+def degenerate_steps_log():
+    """Steps 1 and 3 hold only records with e = k*n; step 2 has a root."""
+    return SampleLog(np.array([2, 3, 1, 0, 2]), np.array([6, 9, 8, 8, 10]),
+                     np.array([3, 3, 4, 4, 5]), np.array([1, 1, 2, 2, 3]))
+
+
+class TestLockstepSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(log=st.one_of(model_logs(), cite_style_logs()), first=st.integers(1, 80),
+           stride=st.integers(1, 7))
+    @example(log=one_step_log(10**5), first=1, stride=1)
+    @example(log=cite_style_log(1, 3, 300, 0.0, 0.0), first=1, stride=1)
+    @example(log=degenerate_steps_log(), first=1, stride=1)
+    @example(log=degenerate_steps_log(), first=2, stride=2)
+    @example(log=SampleLog.empty(), first=1, stride=1)
+    def test_matches_reference_solver(self, log, first, stride):
+        assert outcome(lambda: mle_estimate(log).alpha_hat) == outcome(reference_mle, log)
+        steps = range(first, log.n_steps + 1, stride)
+        assert (outcome(prefix_estimates, log, steps)
+                == outcome(reference_prefix_estimates, log, steps))
+        assert repr(step_estimates(log)) == repr(reference_step_estimates(log))
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 127, 128, 129, 4097])
+    def test_row_sums_equal_1d_sums(self, width):
+        # the solver's exactness rests on this: each row of a batch is
+        # summed as its records alone would be
+        rng = np.random.default_rng(width)
+        x = rng.standard_normal((6, width)) * 10.0 ** rng.uniform(-8, 8, (6, width))
+        rows = x.sum(axis=1)
+        assert all(rows[i] == x[i].copy().sum() for i in range(len(x)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(
+        st.one_of(
+            st.tuples(st.integers(1, 10**6), st.integers(1, 10**9)).flatmap(
+                lambda ne: st.tuples(st.integers(0, ne[1]), st.just(ne[1]), st.just(ne[0]))),
+            st.tuples(st.integers(0, 10**4), st.integers(1, 10**4)).map(
+                lambda kn: (kn[0], max(kn[0] * kn[1], 1), kn[1])),  # e = k*n where k > 0
+        ),
+        min_size=1, max_size=30,
+    ))
+    def test_roots_leave_unit_interval_free(self, records):
+        # 0 < e - k*n <= e puts a positive root at 1 or above; e >= 1 puts a
+        # negative one below 0, so every bracket contains (0, 1)
+        k, e, n = map(np.array, zip(*records))
+        bracket = root_bracket(SampleLog(k, e, n, np.arange(1, len(k) + 1)))
+        assert bracket.min_positive >= 1.0
+        assert bracket.max_negative < 0.0

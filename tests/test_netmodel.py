@@ -204,7 +204,37 @@ class TestGrowStep:
         assert hit_zero_indegree
 
 
+class _NoGrowth(Exception):
+    """Raised in place of sizing the growth arrays."""
+
+
 class TestGrowSequence:
+    @pytest.mark.parametrize("seed_nodes,m,m_hat", [(2, 5, 3), (6, 2, 0), (3, 1, 4)])
+    def test_record_bound_checked_before_arrays(self, seed_nodes, m, m_hat):
+        # past the warm-up a step adds m + m_hat edges and one node, so 20
+        # real steps give the last record's counts at any larger step count
+        seed, params = SeedSpec.complete(seed_nodes), ModelParams(m, m_hat, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, log = grow_sequence(seed, params, 20, make_rng(0))
+        e20, n20 = int(log.e_prev[-1]), int(log.n_prev[-1])
+
+        def fits(steps):
+            return (e20 + (m + m_hat) * (steps - 20)) * (n20 + steps - 20) < 2**53
+
+        last, above = 20, 2**53
+        while above - last > 1:  # the most steps whose records fit
+            mid = (last + above) // 2
+            last, above = (mid, above) if fits(mid) else (last, mid)
+        with mock.patch.object(netmodel, "_Growth", side_effect=_NoGrowth), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(_NoGrowth):
+                grow_sequence(seed, params, last, make_rng(0))
+            for steps in (last + 1, 10**15):
+                with pytest.raises(ValueError, match=f"{steps} steps take e_prev"):
+                    grow_sequence(seed, params, steps, make_rng(0))
+
     def test_deterministic(self):
         seed = SeedSpec.complete(4)
         params = ModelParams(m=2, m_hat=1, alpha=0.7)
