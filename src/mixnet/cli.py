@@ -2,7 +2,8 @@
 
 Every subcommand writes tidy CSV/JSON files plus a run manifest into its
 output directory; plotting is left to external tools.  Exit codes: 0 on
-success, 1 on domain or validation errors, 2 on I/O errors.
+success, 1 on domain or validation errors and on running out of memory, 2 on
+I/O errors.
 """
 
 from __future__ import annotations
@@ -170,10 +171,11 @@ def cmd_dist(args, run: _Run) -> None:
             (seed_spec, params, args.steps, args.rng_seed, i)
             for i in range(args.ensemble)
         ]
-        if args.workers > 1:
+        workers = min(args.workers, args.ensemble)  # a pool starts all its workers at once
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 degree_arrays = list(pool.map(_ensemble_member, jobs))
         else:
             degree_arrays = [_ensemble_member(job) for job in jobs]
@@ -370,6 +372,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"mixnet: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"mixnet: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -9,19 +9,22 @@ to the estimators in :mod:`mixnet.likelihood` and :mod:`mixnet.em`.
 
 All growth runs through one kernel, ``_grow``, over an edge-target list (the
 edge-list form of Batagelj & Brandes 2005): a uniform slot of that list is a
-draw proportional to in-degree.  The kernel reads ``random.Random.random()``
-in bulk from numpy's ``MT19937`` (the same generator, so the same doubles),
-and runs full steps in windows that assume no target or source is drawn
-twice: every target and source of a window comes from a few array
-operations, and the window is committed up to its first step with a repeat.
-That step, and each warm-up step of a seed smaller than ``max(m, m_hat)``,
-is drawn one attachment at a time with its redraws.  A step's out-edges and
+draw proportional to in-degree.  That list and the in-degrees are the
+network's state, two int64 arrays that each growth call replaces.  The
+kernel reads ``random.Random.random()`` in bulk from numpy's ``MT19937``
+(the same generator, so the same doubles), and runs full steps in windows
+that assume no target or source is drawn twice: every target and source of
+a window comes from a few array operations, and the window is committed up
+to its first step with a repeat.  That step, and each warm-up step of a
+seed smaller than ``max(m, m_hat)``, is drawn one attachment at a time with
+its redraws, up to a limit.  A step's out-edges and
 response edges are stored in the iteration order of CPython's ``set`` of its
 targets and of its sources, which the window reproduces from the hash slots.
 So the records, the network and the generator state afterwards are those of
-drawing one attachment at a time.  The in-degree ``k`` of each pick comes
-from ranks after growth, and the pre-step counts ``e_prev`` and ``n_prev``
-and the ``step`` column do not depend on the draws.
+drawing one attachment at a time.  The in-degree ``k`` of each pick is one
+gather of the entry in-degrees plus its rank among earlier picks, and the
+pre-step counts ``e_prev`` and ``n_prev`` and the ``step`` column do not
+depend on the draws.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import itertools
 import random
 import sys
 import warnings
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -138,16 +140,16 @@ class SeedSpec:
 class GrowingNetwork:
     """Mutable growth state.
 
-    Nodes are dense integer ids ``0..n-1``.  ``_edge_targets`` holds one
-    entry per edge (its target), so a uniform index into it is a draw
-    proportional to in-degree; it is an int64 ``array`` so that growth reads
-    it as a numpy view and extends it by one copy.  ``edges`` is kept only
-    when requested.
+    Nodes are dense integer ids ``0..n-1``.  ``in_degree`` holds each node's
+    in-degree and ``_edge_targets`` one entry per edge (its target), so a
+    uniform index into the latter is a draw proportional to in-degree.  Both
+    are int64 arrays that growth replaces with new ones rather than writes
+    into.  ``edges`` is kept only when requested.
     """
 
-    in_degree: list = field(default_factory=list)
+    in_degree: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     edges: list | None = None
-    _edge_targets: array = field(default_factory=lambda: array("q"))
+    _edge_targets: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def node_count(self) -> int:
@@ -161,14 +163,12 @@ class GrowingNetwork:
     def from_seed(cls, seed: SeedSpec, keep_edges: bool = False) -> "GrowingNetwork":
         index = {label: i for i, label in enumerate(seed.nodes)}
         pairs = [(index[u], index[v]) for u, v in seed.edges]
-        in_degree = [0] * len(seed.nodes)
-        for _, v in pairs:
-            in_degree[v] += 1
-        return cls(in_degree=in_degree, edges=pairs if keep_edges else None,
-                   _edge_targets=array("q", [v for _, v in pairs]))
+        targets = np.array([v for _, v in pairs], dtype=np.int64)
+        return cls(in_degree=np.bincount(targets, minlength=len(seed.nodes)),
+                   edges=pairs if keep_edges else None, _edge_targets=targets)
 
     def in_degree_array(self) -> np.ndarray:
-        return np.asarray(self.in_degree, dtype=np.int64)
+        return self.in_degree
 
 
 def attachment_probability(k: int, e_prev: int, n_prev: int, alpha: float) -> float:
@@ -185,6 +185,9 @@ def attachment_probability(k: int, e_prev: int, n_prev: int, alpha: float) -> fl
 _DRAW_CHUNK = 1 << 16  # draws generated at a time: bounds the buffer for any T
 _BULK_MIN = 1 << 13  # draws below which moving the generator state costs more
 _MIN_WINDOW, _MAX_WINDOW = 16, 4096  # steps speculated at once
+# draws a step may make beyond its 2m + m_hat: 0.5 s of redraws, 1.4 s on a
+# call's last step, where each redraw is fetched alone
+_REDRAW_LIMIT = 1 << 18
 
 
 class _Draws:
@@ -328,7 +331,7 @@ class _Growth:
         self.bits = (self.n0 + steps).bit_length()
         self.mask = _set_mask(self.m)
         self.targets = np.empty(self.e0 + int(added.sum()), dtype=np.int64)
-        self.targets[:self.e0] = np.frombuffer(net._edge_targets, dtype=np.int64)
+        self.targets[:self.e0] = net._edge_targets
         self.sources = np.empty(len(self.targets), dtype=np.int64) if net.edges is not None else None
         self.picks = np.empty(int(self.per_step.sum()), dtype=np.int64)
         self.draws = _Draws(rng, int(self.budget_left[0]))
@@ -348,30 +351,38 @@ class _Growth:
         return min(_DRAW_CHUNK, 1 + later)
 
     def scalar_step(self, t: int) -> None:
-        """Step t drawn one attachment at a time, redraws included."""
+        """Step t drawn one attachment at a time, redraws included; more than
+        ``_REDRAW_LIMIT`` draws past its budget raise StructuralError."""
         n, e, alpha = self.n0 + t, int(self.e_prev[t]), self.alpha
         n_picks, n_sources = min(self.m, n), min(self.m_hat, n)
         budget = 2 * n_picks + n_sources  # a step takes at least its budget
         self.ensure(t, budget)
         first = self.draws.take(budget).tolist()
         self.draws.pos += budget
-        draw = itertools.chain(first, iter(lambda: self.draws.next(self.spare(t)), None)).__next__
+        redraws = iter(lambda: self.draws.next(self.spare(t)), None)
+        draw = itertools.chain(first, itertools.islice(redraws, _REDRAW_LIMIT)).__next__
         targets = self.targets
         chosen: set[int] = set()
         picks = []
-        for _ in range(n_picks):
-            while True:
-                if draw() < alpha:
-                    v = int(targets[int(draw() * e)])
-                else:
-                    v = int(draw() * n)
-                if v not in chosen:
-                    break
-            chosen.add(v)
-            picks.append(v)
         sources: set[int] = set()
-        while len(sources) < n_sources:
-            sources.add(int(draw() * n))
+        try:
+            for _ in range(n_picks):
+                while True:
+                    if draw() < alpha:
+                        v = int(targets[int(draw() * e)])
+                    else:
+                        v = int(draw() * n)
+                    if v not in chosen:
+                        break
+                chosen.add(v)
+                picks.append(v)
+            while len(sources) < n_sources:
+                sources.add(int(draw() * n))
+        except StopIteration:
+            raise StructuralError(
+                f"step {t + 1} drew {budget + _REDRAW_LIMIT} times without finding {n_picks} "
+                f"distinct targets and {n_sources} distinct sources; near alpha=1 with "
+                "m_hat=0, a node of in-degree 0 is almost never drawn") from None
         a, end = self.first_pick[t], e + n_picks + n_sources
         self.picks[a:a + n_picks] = picks
         targets[e:end] = list(chosen) + [n] * n_sources
@@ -454,24 +465,18 @@ class _Growth:
         return stop, size
 
     def finish(self, net: GrowingNetwork, steps: int) -> "SampleLog":
-        """Extend the network by the edges grown; return the records."""
-        n0, e0, picks, in_degree = self.n0, self.e0, self.picks, net.in_degree
-        # k = entry in-degree + earlier picks of the same node (one per step);
-        # the rank keys fit in int64 since SampleLog bounds n_prev * e_prev by 2**53
-        earlier, nodes, sizes = _repeat_rank(picks)
-        k = np.minimum(self.m_hat, picks) + earlier  # a new node enters with its responses
-        old = np.flatnonzero(picks < n0)
-        if len(old):
-            k[old] = earlier[old] + [in_degree[v] for v in picks[old].tolist()]
-        n_old = int(np.searchsorted(nodes, n0))
-        for v, c in zip(nodes[:n_old].tolist(), sizes[:n_old].tolist()):
-            in_degree[v] += c
-        new_in = self.responses.copy()
-        new_in[nodes[n_old:] - n0] += sizes[n_old:]
-        in_degree.extend(new_in.tolist())
-        net._edge_targets.frombytes(memoryview(self.targets[e0:]).cast("B"))
+        """Give the network the edges grown and its new in-degrees; return the records."""
+        # k = entry in-degree + earlier picks of the same node (one per step),
+        # a new node entering with its responses; the rank keys fit in int64
+        # since SampleLog bounds n_prev * e_prev by 2**53
+        earlier, nodes, sizes = _repeat_rank(self.picks)
+        in_degree = np.concatenate([net.in_degree, self.responses])
+        k = in_degree[self.picks] + earlier
+        in_degree[nodes] += sizes
         if net.edges is not None:
-            net.edges.extend(zip(self.sources[e0:].tolist(), self.targets[e0:].tolist()))
+            new = slice(self.e0, None)
+            net.edges.extend(zip(self.sources[new].tolist(), self.targets[new].tolist()))
+        net.in_degree, net._edge_targets = in_degree, self.targets
         return SampleLog(k, np.repeat(self.e_prev, self.per_step),
                          np.repeat(self.n_prev, self.per_step),
                          np.repeat(np.arange(1, steps + 1), self.per_step))
@@ -496,12 +501,15 @@ def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
     draws: all targets at once, existing slots by one gather, slots added
     inside the window by one ascending pass over earlier rows.  A window
     commits the steps before its first repeated target or source; that step
-    and each warm-up step run through :meth:`_Growth.scalar_step`.  A window
-    grows while it commits whole and shrinks to twice the steps it committed
-    when it stops short.  Out-edges and response edges are stored in the
-    iteration order of CPython's ``set`` of the step's targets and of its
-    sources, as the per-attachment form stored them (``_set_order``); each
-    ``k`` comes from ranks at the end (``_repeat_rank``).
+    and each warm-up step run through :meth:`_Growth.scalar_step`, which
+    raises StructuralError after ``_REDRAW_LIMIT`` draws of redraws.  A
+    window spans 1.5 times a running mean of the steps from one repeat to
+    the next (0.7 of the old mean, 0.3 of the new gap), a mean that doubles,
+    up to ``_MAX_WINDOW``, each time a window commits whole.  Out-edges and
+    response edges are stored in the iteration order of CPython's ``set`` of
+    the step's targets and of its sources, as the per-attachment form stored
+    them (``_set_order``); each ``k`` comes from ranks at the end
+    (``_repeat_rank``).
     """
     if type(rng) is not random.Random:
         # a subclass may override random(), which the bulk stream would bypass
@@ -515,7 +523,7 @@ def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
     # at alpha=1 without response edges only nodes of positive in-degree can
     # be drawn, so a step needing more distinct targets would never end
     if steps and alpha == 1.0 and m_hat == 0:
-        need, have = min(m, n0 + steps - 1), sum(d > 0 for d in net.in_degree)
+        need, have = min(m, n0 + steps - 1), np.count_nonzero(net.in_degree)
         if need > have:
             raise StructuralError(f"alpha=1 with m_hat=0 needs {need} nodes of positive "
                                   f"in-degree, the network has {have}")
@@ -549,10 +557,7 @@ def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
         else:
             gap = min(_MAX_WINDOW, 2 * gap)
     growth.draws.write_back()
-    log = growth.finish(net, steps)
-    if len(net.in_degree) != n0 + steps or len(net._edge_targets) != len(growth.targets):
-        raise RuntimeError("growth broke the per-step node or edge budget")
-    return log
+    return growth.finish(net, steps)
 
 
 def grow_step(
@@ -562,7 +567,7 @@ def grow_step(
 
     Returns the network and the multiset of attachment records for the m
     targets (response edges are not logged).  Each call pays the growth
-    kernel's fixed set-up, about 0.5 ms on a 20k-node network whatever the
+    kernel's fixed set-up, about 0.4 ms on a 20k-node network whatever the
     step; a loop of steps should call :func:`grow_sequence` once instead.
     """
     return net, list(_grow(net, params, 1, rng).records())
@@ -664,16 +669,17 @@ class SampleLog:
             header = fh.readline().rstrip("\n").split(",")
             if header != _CSV_HEADER:
                 raise ValueError(f"{path}: unexpected sample log header {header}")
+            # np.loadtxt skips empty lines, but warns on a body of nothing else
             body = fh.tell()
-            if not fh.read(1):
-                return cls.empty()  # header only, which np.loadtxt would warn about
+            while (line := fh.readline()) == "\n":
+                body = fh.tell()
+            if not line:
+                return cls.empty()
             fh.seek(body)
             try:
                 rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed row: {exc}") from exc
-        if rows.size == 0:  # blank lines only
-            return cls.empty()
         if rows.shape[1] != len(_CSV_HEADER):
             raise ValueError(f"{path}: malformed row: {rows.shape[1]} columns, "
                              f"expected {len(_CSV_HEADER)}")

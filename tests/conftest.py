@@ -94,7 +94,8 @@ def reference_grow(net: GrowingNetwork, params: ModelParams, steps: int,
     """Advance ``net`` by ``steps`` steps in place; return their records.
 
     The per-attachment loop that ``netmodel._grow`` replaced, kept verbatim
-    as the differential oracle for the windowed kernel.
+    as the differential oracle for the windowed kernel; it runs on lists
+    taken from the network's int64 arrays and writes arrays back.
 
     Rejection from the full mixture conditioned on "not chosen yet" equals
     sequential renormalized draws without replacement.  With fewer than m
@@ -114,8 +115,8 @@ def reference_grow(net: GrowingNetwork, params: ModelParams, steps: int,
             raise StructuralError(f"alpha=1 with m_hat=0 needs {need} nodes of positive "
                                   f"in-degree, the network has {have}")
 
-    in_degree = net.in_degree
-    targets = net._edge_targets
+    in_degree = net.in_degree.tolist()
+    targets = net._edge_targets.tolist()
     edges = net.edges
     draw = rng.random
     ks: list[int] = []
@@ -154,6 +155,8 @@ def reference_grow(net: GrowingNetwork, params: ModelParams, steps: int,
     e_prev = e0 + np.cumsum(added) - added
     if len(in_degree) != n0 + steps or len(targets) != e0 + added.sum():
         raise RuntimeError("growth loop broke the per-step node or edge budget")
+    net.in_degree = np.array(in_degree, dtype=np.int64)
+    net._edge_targets = np.array(targets, dtype=np.int64)
     return SampleLog(
         ks,
         np.repeat(e_prev, per_step),

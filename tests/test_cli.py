@@ -178,6 +178,14 @@ class TestEstimate:
         assert "all records are degenerate; likelihood is flat in alpha" in err
         assert not out.exists()
 
+    def test_blank_body_exits_1_without_warning(self, tmp_path, capsys):
+        blank = tmp_path / "blank.csv"
+        blank.write_text("step,k,e_prev,n_prev\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["estimate", blank, "--out", tmp_path / "est"]) == 1
+        assert capsys.readouterr().err == "mixnet: error: cannot estimate from an empty log\n"
+
     def test_zero_n_prev_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("step,k,e_prev,n_prev\n1,1,6,3\n2,0,6,0\n")
@@ -209,6 +217,45 @@ class TestDist:
         assert lines[0] == "k,ccdf_empirical"
         assert len(lines) == 1 + 21
         assert float(lines[1].split(",")[1]) == 1.0
+
+    @pytest.mark.parametrize("ensemble,workers,pools", [(2, 64, [2]), (1, 8, []), (3, 2, [2])])
+    def test_pool_capped_at_ensemble_size(self, tmp_path, monkeypatch, ensemble, workers,
+                                          pools):
+        import concurrent.futures
+
+        seen = []
+
+        class SerialPool:
+            """Records its worker count and runs the jobs in this process."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        assert run(["dist", "--m", 2, "--m-hat", 1, "--alpha", 0.5, "--k-max", 10,
+                    "--ensemble", ensemble, "--workers", workers, "--steps", 30,
+                    "--out", tmp_path]) == 0
+        assert seen == pools
+        assert read_manifest(tmp_path)["params"]["workers"] == workers
+
+    def test_pool_matches_serial(self, tmp_path):
+        outputs = []
+        for workers in (2, 1):
+            out = tmp_path / f"w{workers}"
+            assert run(["dist", "--m", 5, "--m-hat", 3, "--alpha", 0.6, "--k-max", 30,
+                        "--ensemble", 3, "--steps", 300, "--workers", workers,
+                        "--out", out]) == 0
+            outputs.append((out / "empirical.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_k_max_below_support_exits_1(self, tmp_path):
         assert run(["dist", "--m", 5, "--m-hat", 3, "--alpha", 0.6,
@@ -583,6 +630,22 @@ class TestSampleLogFuzz:
                 code = main(["estimate", path, "--method", method, *trace,
                              "--out", os.path.join(tmp, "out")])
         assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("target,argv", [
+    ("mixnet.cli.grow_sequence", ["simulate", "complete:3", "--m", 5, "--m-hat", 3,
+                                  "--steps", 30000000]),
+    ("mixnet.cli.StationaryDistribution.pmf_array", ["dist", "--m", 5, "--m-hat", 3,
+                                                     "--alpha", 0.6, "--k-max", 3000000000]),
+])
+def test_out_of_memory_exits_1_without_output_dir(tmp_path, capsys, target, argv):
+    # numpy reports a failed allocation as a MemoryError subclass
+    out = tmp_path / "out"
+    with mock.patch(target, side_effect=MemoryError("Unable to allocate 1.09 TiB")):
+        assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "mixnet: error: out of memory: Unable to allocate 1.09 TiB\n"
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

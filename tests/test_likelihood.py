@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -557,3 +558,43 @@ class TestLockstepSolver:
         bracket = root_bracket(SampleLog(k, e, n, np.arange(1, len(k) + 1)))
         assert bracket.min_positive >= 1.0
         assert bracket.max_negative < 0.0
+
+
+def mpmath_argmax(log):
+    """argmax of sum(log(d*alpha + c)) over [INTERIOR_MARGIN, 1 - INTERIOR_MARGIN]
+    at 40 digits, from the integer counts: the end where the score keeps one
+    sign, else the score's root (the log-likelihood is concave there)."""
+    with mpmath.workdps(40):
+        rows = [(mpmath.mpf(k) / e - mpmath.mpf(1) / n, mpmath.mpf(1) / n)
+                for k, e, n in zip(log.k.tolist(), log.e_prev.tolist(), log.n_prev.tolist())]
+
+        def score(alpha):
+            return mpmath.fsum(d / (d * alpha + c) for d, c in rows)
+
+        lo, hi = mpmath.mpf(INTERIOR_MARGIN), mpmath.mpf(1.0 - INTERIOR_MARGIN)
+        if score(lo) <= 0:
+            return lo
+        if score(hi) >= 0:
+            return hi
+        return mpmath.findroot(score, (lo, hi), solver="anderson")
+
+
+class TestArgmaxOracle:
+    def test_mle_matches_mpmath_argmax(self):
+        # bracket_oracle_logs: random logs with pool duplicates, k = 0 and
+        # degenerate records, and logs grown at alpha in {0, 1}; then one
+        # record with k/e below 1/n and one above, maxima at either end
+        logs = [*bracket_oracle_logs(), single_record_log(1, 6, 3), single_record_log(3, 6, 3)]
+        ends = {"lo": 0, "hi": 0, "interior": 0}
+        for log in logs:
+            try:
+                alpha_hat = mle_estimate(log).alpha_hat
+            except NoInformationError:
+                continue
+            best = mpmath_argmax(log)
+            assert abs(alpha_hat - float(best)) <= 1e-9, (log, alpha_hat, best)
+            end = ("lo" if best == INTERIOR_MARGIN else
+                   "hi" if best == 1.0 - INTERIOR_MARGIN else "interior")
+            ends[end] += 1
+        assert sum(ends.values()) >= 200
+        assert min(ends.values()) >= 2, ends

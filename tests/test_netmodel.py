@@ -5,6 +5,7 @@ import math
 import os
 import random
 import tempfile
+import time
 import warnings
 from unittest import mock
 
@@ -304,7 +305,8 @@ class TestGrowSequence:
         for _ in range(300):
             records.extend(grow_step(stepped, params, step_rng)[1])
         assert records == list(log.records())
-        assert stepped.in_degree == whole.in_degree
+        assert stepped.in_degree.tolist() == whole.in_degree.tolist()
+        assert stepped.in_degree.dtype == whole.in_degree.dtype == np.int64
         assert stepped.edges == whole.edges
         assert step_rng.getstate() == rng.getstate()
 
@@ -361,8 +363,10 @@ class TestGrowthKernel:
             outcomes.append(records)
         kernel, loop = nets
         assert outcomes[0] == outcomes[1]
-        assert kernel.in_degree == loop.in_degree
-        assert kernel._edge_targets == loop._edge_targets
+        assert kernel.in_degree.tolist() == loop.in_degree.tolist()
+        assert kernel._edge_targets.tolist() == loop._edge_targets.tolist()
+        for a in (kernel.in_degree, kernel._edge_targets, loop.in_degree, loop._edge_targets):
+            assert type(a) is np.ndarray and a.dtype == np.int64
         assert kernel.edges == loop.edges
         assert rngs[0] == rngs[1]
 
@@ -374,6 +378,34 @@ class TestGrowthKernel:
             errors.append(_outcome(grow, net, params, 5, make_rng(0)))
         assert errors[0] == errors[1]
         assert "alpha=1 with m_hat=0 needs 3 nodes" in errors[0]
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_redraws_bounded_near_pure_preferential(self, bulk):
+        # K2, m=3, m_hat=0: step 2 needs the new node, of in-degree 0, which a
+        # draw reaches about once in 3e9 at this alpha
+        params = ModelParams(m=3, m_hat=0, alpha=1 - 1e-9)
+        net = GrowingNetwork.from_seed(SeedSpec.complete(2))
+        start = time.perf_counter()
+        with mock.patch.object(netmodel, "_BULK_MIN", 0 if bulk else 2**62), \
+                pytest.raises(StructuralError, match="step 2 drew"):
+            _grow(net, params, 2, make_rng(0))
+        assert time.perf_counter() - start < 5
+        assert net.in_degree.tolist() == [1, 1] and net._edge_targets.tolist() == [1, 0]
+
+    def test_state_stays_int64_arrays(self):
+        params = ModelParams(m=3, m_hat=2, alpha=0.6)
+        net = GrowingNetwork.from_seed(SeedSpec.complete(4), keep_edges=True)
+        states = [(net.in_degree, net._edge_targets)]
+        grow_step(net, params, make_rng(0))
+        states.append((net.in_degree, net._edge_targets))
+        net, _ = grow_sequence(SeedSpec.complete(4), params, 50, make_rng(0))
+        states.append((net.in_degree, net._edge_targets))
+        for arrays in states:
+            for a in arrays:
+                assert type(a) is np.ndarray and a.dtype == np.int64
+        assert net.in_degree_array() is net.in_degree
+        assert net.in_degree.sum() == net.edge_count
+        assert np.bincount(net._edge_targets).tolist() == net.in_degree.tolist()
 
     def test_rejects_random_subclass(self):
         class Fixed(random.Random):
@@ -491,6 +523,19 @@ class TestSampleLog:
             log = SampleLog.from_csv(path)
         assert len(log) == 0 and log.n_steps == 0
 
+    @pytest.mark.parametrize("body,records", [
+        (b"\n", 0), (b"\n\n\n", 0), (b"\r\n\r\n", 0), (b"\r\r", 0),
+        (b"\n\n1,1,6,3\n", 1), (b"\r\n\r\n1,1,6,3\r\n2,0,9,4\r\n", 2),
+    ])
+    def test_from_csv_leading_blank_lines(self, tmp_path, body, records):
+        # a body of blank lines is an empty log, without np.loadtxt's warning
+        path = tmp_path / "blank.csv"
+        path.write_bytes(b"step,k,e_prev,n_prev\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = SampleLog.from_csv(path)
+        assert len(log) == records and log.n_steps == records
+
     def test_from_csv_skips_blank_line(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("step,k,e_prev,n_prev\n1,1,6,3\n\n2,0,9,4\n")
@@ -498,7 +543,7 @@ class TestSampleLog:
         assert np.array_equal(log.k, [1, 0])
         assert np.array_equal(log.n_prev, [3, 4])
 
-    @pytest.mark.parametrize("row", ["1,1,6", "1,1,6,3,9", "1,1,99999999999999999999999,3",
+    @pytest.mark.parametrize("row", ["1,1,6", "1,1,6,3,9", " ", "1,1,99999999999999999999999,3",
                                      "1,1.5,6,3", "1,1,6,3 # note"])
     def test_from_csv_rejects_bad_columns_and_values(self, tmp_path, row):
         path = tmp_path / "bad.csv"
