@@ -41,7 +41,8 @@ import numpy as np
 
 
 _CSV_HEADER = ["step", "k", "e_prev", "n_prev"]
-_CSV_CHUNK = 4096  # rows per write: bounds the Python objects alive at once
+_CSV_CHUNK = 4096  # rows per write: bounds the numpy buffers of one chunk
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # a value's digits: 1 + powers <= it
 
 
 def _warn(message: str) -> None:
@@ -204,9 +205,9 @@ class _Draws:
     """
 
     def __init__(self, rng: random.Random, total: int):
-        self._rng, self._bits = rng, None
+        self._rng, self._bits, self._entry = rng, None, rng.getstate()
         if total >= _BULK_MIN:
-            self._version, internal, self._gauss = rng.getstate()
+            internal = self._entry[1]
             self._bits = np.random.MT19937(0)
             self._bits.state = {"bit_generator": "MT19937", "state": {
                 "key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]}}
@@ -244,9 +245,13 @@ class _Draws:
         if self.available():
             raise RuntimeError("growth drew past the draws it consumed")
         if self._bits is not None:
+            version, _, gauss = self._entry
             state = self._bits.state["state"]
-            self._rng.setstate((self._version, tuple(state["key"].tolist()) + (state["pos"],),
-                                self._gauss))
+            self._rng.setstate((version, tuple(state["key"].tolist()) + (state["pos"],), gauss))
+
+    def rewind(self) -> None:
+        """Leave ``rng`` as it was before the first draw."""
+        self._rng.setstate(self._entry)
 
 
 def _set_mask(size: int) -> int:
@@ -502,10 +507,11 @@ def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
     inside the window by one ascending pass over earlier rows.  A window
     commits the steps before its first repeated target or source; that step
     and each warm-up step run through :meth:`_Growth.scalar_step`, which
-    raises StructuralError after ``_REDRAW_LIMIT`` draws of redraws.  A
-    window spans 1.5 times a running mean of the steps from one repeat to
-    the next (0.7 of the old mean, 0.3 of the new gap), a mean that doubles,
-    up to ``_MAX_WINDOW``, each time a window commits whole.  Out-edges and
+    raises StructuralError after ``_REDRAW_LIMIT`` draws of redraws; ``net``
+    and ``rng`` are then as they were before the call.  A window spans 1.5
+    times a running mean of the steps from one repeat to the next (0.7 of
+    the old mean, 0.3 of the new gap), a mean that doubles, up to
+    ``_MAX_WINDOW``, each time a window commits whole.  Out-edges and
     response edges are stored in the iteration order of CPython's ``set`` of
     the step's targets and of its sources, as the per-attachment form stored
     them (``_set_order``); each ``k`` comes from ranks at the end
@@ -542,20 +548,24 @@ def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
     # to the next: longer ones waste more rows past the repeat, shorter ones
     # pay the fixed cost of a window more often
     t, gap = 0, float(_MIN_WINDOW)
-    while t < steps:
-        if t < growth.warm_up:  # fewer than max(m, m_hat) nodes
-            growth.scalar_step(t)
-            t += 1
-            continue
-        size = min(_MAX_WINDOW, max(_MIN_WINDOW, int(1.5 * gap)), steps - t)
-        done, tried = growth.window(t, size)
-        t += done
-        if done < tried:  # step t repeats a target or a source
-            growth.scalar_step(t)
-            t += 1
-            gap = 0.7 * gap + 0.3 * (done + 1)
-        else:
-            gap = min(_MAX_WINDOW, 2 * gap)
+    try:
+        while t < steps:
+            if t < growth.warm_up:  # fewer than max(m, m_hat) nodes
+                growth.scalar_step(t)
+                t += 1
+                continue
+            size = min(_MAX_WINDOW, max(_MIN_WINDOW, int(1.5 * gap)), steps - t)
+            done, tried = growth.window(t, size)
+            t += done
+            if done < tried:  # step t repeats a target or a source
+                growth.scalar_step(t)
+                t += 1
+                gap = 0.7 * gap + 0.3 * (done + 1)
+            else:
+                gap = min(_MAX_WINDOW, 2 * gap)
+    except StructuralError:  # the redraw bound: leave rng, like net, untouched
+        growth.draws.rewind()
+        raise
     growth.draws.write_back()
     return growth.finish(net, steps)
 
@@ -571,6 +581,33 @@ def grow_step(
     step; a loop of steps should call :func:`grow_sequence` once instead.
     """
     return net, list(_grow(net, params, 1, rng).records())
+
+
+def _csv_rows(columns: Sequence[np.ndarray]) -> bytes:
+    """Rows of non-negative int64 columns, as ``"%d,...,%d\\r\\n"`` writes them.
+
+    Each field is its digits and a comma, or CR LF after a row's last field.
+    The digits go in least significant first, one pass per digit place over
+    the fields that have one.
+    """
+    value = np.column_stack(columns).ravel()  # the fields in write order
+    digits = np.searchsorted(_POW10, value, side="right") + 1
+    last = slice(len(columns) - 1, None, len(columns))
+    width = digits + 1
+    width[last] += 1
+    ends = np.cumsum(width)
+    buf = np.full(int(ends[-1]), ord(","), dtype=np.uint8)
+    buf[ends[last] - 2], buf[ends[last] - 1] = ord("\r"), ord("\n")
+    # the longest fields first (a stable sort of int8 is a radix sort), so
+    # each pass takes a prefix; pos is each field's next digit leftwards
+    order = np.argsort(-digits.astype(np.int8), kind="stable")
+    value, pos = value[order].astype(np.uint64), (ends - width + digits - 1)[order]
+    for count in np.bincount(digits)[::-1].cumsum()[::-1][1:].tolist():
+        value, pos = value[:count], pos[:count]
+        quotient = value // 10
+        buf[pos] = (value - quotient * 10 + ord("0")).astype(np.uint8)
+        value, pos = quotient, pos - 1
+    return buf.tobytes()
 
 
 @dataclass
@@ -656,15 +693,18 @@ class SampleLog:
         return SampleLog(self.k[mask], self.e_prev[mask], self.n_prev[mask], self.step[mask])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(_CSV_HEADER) + "\r\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(_CSV_HEADER) + "\r\n").encode())
             for i in range(0, len(self), _CSV_CHUNK):
-                cols = [a[i:i + _CSV_CHUNK].tolist()
-                        for a in (self.step, self.k, self.e_prev, self.n_prev)]
-                fh.write("".join(map("%d,%d,%d,%d\r\n".__mod__, zip(*cols))))
+                fh.write(_csv_rows([a[i:i + _CSV_CHUNK]
+                                    for a in (self.step, self.k, self.e_prev, self.n_prev)]))
 
     @classmethod
     def from_csv(cls, path) -> "SampleLog":
+        # numpy's parser can crash the interpreter on non-ASCII text (code
+        # points from about U+50000 up); the chunks bound the memory
+        with open(path, "rb") as raw:
+            is_ascii = all(chunk.isascii() for chunk in iter(lambda: raw.read(1 << 20), b""))
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
             if header != _CSV_HEADER:
@@ -675,6 +715,8 @@ class SampleLog:
                 body = fh.tell()
             if not line:
                 return cls.empty()
+            if not is_ascii:
+                raise ValueError(f"{path}: malformed row: a sample log is ASCII text")
             fh.seek(body)
             try:
                 rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixnet import GrowingNetwork, ModelParams, SampleLog, SeedSpec, grow_sequence, make_rng
-from mixnet.netmodel import StructuralError
+from mixnet.netmodel import _CSV_CHUNK, _CSV_HEADER, StructuralError
 
 
 def random_record(rng: random.Random, pool_bias: bool = False):
@@ -87,6 +87,17 @@ def head_sum_ccdf(params: ModelParams, k_max: int) -> list:
             out.append(1 - head)
             head += p
     return out
+
+
+def reference_to_csv(log: SampleLog, path) -> None:
+    """``SampleLog.to_csv`` as one ``%d`` format per row, the writer the
+    numpy formatter replaced, kept verbatim as its differential oracle."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        for i in range(0, len(log), _CSV_CHUNK):
+            cols = [a[i:i + _CSV_CHUNK].tolist()
+                    for a in (log.step, log.k, log.e_prev, log.n_prev)]
+            fh.write("".join(map("%d,%d,%d,%d\r\n".__mod__, zip(*cols))))
 
 
 def reference_grow(net: GrowingNetwork, params: ModelParams, steps: int,

@@ -47,6 +47,17 @@ class TestSimulate:
         assert manifest["params"]["nodes"] == 54
         assert manifest["params"]["edges"] == 12 + 50 * 3
 
+    @pytest.mark.parametrize("alpha,digest", [
+        (0, "6b4ae8c6223128fd27587a45d2e237ae8392d4cfeb8427afcf08bea827cbbc81"),
+        (0.6, "8d46693614c56025d9c7f6f9894346f3ca8823c3b5f0ec43d723e597707c55c3"),
+        (1, "366c8d86815d470d667c13ac827ef3029aeed2bfeb904764babf322193f6e1c4"),
+    ])
+    def test_pinned_samplelog(self, tmp_path, alpha, digest):
+        # digests of the samplelog.csv that the per-row %d writer wrote
+        assert run(["simulate", "complete:3", "--m", 5, "--m-hat", 3, "--alpha", alpha,
+                    "--steps", 2000, "--rng-seed", 1, "--out", tmp_path]) == 0
+        assert hashlib.sha256((tmp_path / "samplelog.csv").read_bytes()).hexdigest() == digest
+
     def test_export_graph(self, tmp_path):
         run(["simulate", "complete:4", "--m", 1, "--steps", 10,
              "--export-graph", "--out", tmp_path])

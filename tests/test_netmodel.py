@@ -27,6 +27,7 @@ from mixnet import (
 )
 from mixnet import ingest, netmodel
 from mixnet.netmodel import (
+    _CSV_CHUNK,
     ParseError,
     StructuralError,
     _Draws,
@@ -37,7 +38,7 @@ from mixnet.netmodel import (
     write_edge_list,
 )
 
-from conftest import reference_grow
+from conftest import reference_grow, reference_to_csv
 
 
 class TestAttachmentProbability:
@@ -385,12 +386,15 @@ class TestGrowthKernel:
         # draw reaches about once in 3e9 at this alpha
         params = ModelParams(m=3, m_hat=0, alpha=1 - 1e-9)
         net = GrowingNetwork.from_seed(SeedSpec.complete(2))
+        rng = make_rng(0)
+        entry = rng.getstate()
         start = time.perf_counter()
         with mock.patch.object(netmodel, "_BULK_MIN", 0 if bulk else 2**62), \
                 pytest.raises(StructuralError, match="step 2 drew"):
-            _grow(net, params, 2, make_rng(0))
+            _grow(net, params, 2, rng)
         assert time.perf_counter() - start < 5
         assert net.in_degree.tolist() == [1, 1] and net._edge_targets.tolist() == [1, 0]
+        assert rng.getstate() == entry
 
     def test_state_stays_int64_arrays(self):
         params = ModelParams(m=3, m_hat=2, alpha=0.6)
@@ -503,6 +507,50 @@ class TestSampleLog:
         assert np.array_equal(back.n_prev, log.n_prev)
         assert np.array_equal(back.step, log.step)
 
+    @settings(max_examples=40, deadline=None)
+    @given(length=st.sampled_from([_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 3 * _CSV_CHUNK + 7])
+           | st.integers(0, 40),
+           first_step=st.sampled_from([1, 9, 10, 10**18 - 1, 10**18, 2**63 - 1])
+           | st.integers(1, 10**12),
+           fixed=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from([0, 9, 10, 2**53 - 1]),
+                                    st.integers(0, 2)), max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @example(length=0, first_step=1, fixed=[], seed=0)
+    @example(length=1, first_step=10**18, fixed=[(0, 2**53 - 1, 0)], seed=0)
+    @example(length=_CSV_CHUNK - 1, first_step=9,
+             fixed=[(0, 0, 0), (1, 9, 1), (2, 10, 2), (3, 2**53 - 1, 1)], seed=1)
+    @example(length=_CSV_CHUNK, first_step=2**63 - 1, fixed=[(_CSV_CHUNK - 1, 2**53 - 1, 2)], seed=2)
+    @example(length=_CSV_CHUNK + 1, first_step=10**18 - 1, fixed=[(_CSV_CHUNK, 10, 0)], seed=3)
+    @example(length=3 * _CSV_CHUNK + 7, first_step=1, fixed=[(2 * _CSV_CHUNK, 9, 1)], seed=4)
+    def test_to_csv_matches_reference_writer(self, length, first_step, fixed, seed):
+        # random values of every digit count up to the 2**53 bound on k,
+        # e_prev and n_prev, steps up to 2**63 - 1; then each (row, value,
+        # column) of ``fixed`` sets k = e_prev = value (column 0), e_prev =
+        # value (1) or n_prev = value (2) in that row, the others 0 or 1
+        rng = np.random.default_rng(seed)
+
+        def spread(high):  # in [0, high], the digit counts about even
+            return rng.integers(0, np.minimum(high, 10 ** rng.integers(0, 17, length)) + 1)
+
+        n_prev = 1 + spread(2**53 - 2)
+        e_prev = 1 + spread((2**53 - 1) // n_prev - 1)
+        k = spread(e_prev)
+        step = first_step + np.minimum(np.cumsum(rng.integers(0, 3, length)), 2**63 - 1 - first_step)
+        for row, value, column in fixed if length else ():
+            row %= length
+            n_prev[row], e_prev[row], k[row] = 1, max(value, 1), 0
+            if column == 0:
+                k[row] = value
+            elif column == 2:
+                n_prev[row], e_prev[row] = e_prev[row], 1
+        log = SampleLog(k, e_prev, n_prev, step)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = os.path.join(tmp, "ours.csv"), os.path.join(tmp, "theirs.csv")
+            log.to_csv(ours)
+            reference_to_csv(log, theirs)
+            with open(ours, "rb") as a, open(theirs, "rb") as b:
+                assert a.read() == b.read()
+
     def test_from_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c,d\n1,2,3,4\n")
@@ -549,6 +597,15 @@ class TestSampleLog:
         path = tmp_path / "bad.csv"
         path.write_text(f"step,k,e_prev,n_prev\n{row}\n")
         with pytest.raises(ValueError, match="malformed row"):
+            SampleLog.from_csv(path)
+
+    @pytest.mark.parametrize("row", ["\U000eb7f6,1,6,3", "1,1,6,3\U0010ffff", "1,\xa01,6,3", "1,1,6,٣"])
+    def test_from_csv_rejects_non_ascii(self, tmp_path, row):
+        # np.loadtxt crashed the interpreter on the first two in about half
+        # of the runs, and read the third as 1,1,6,3
+        path = tmp_path / "bad.csv"
+        path.write_text(f"step,k,e_prev,n_prev\n1,1,6,3\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed row: a sample log is ASCII text"):
             SampleLog.from_csv(path)
 
     def test_prefix(self):
