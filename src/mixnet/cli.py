@@ -137,7 +137,8 @@ def cmd_estimate(args, run: _Run) -> None:
             rows = list(zip(steps, prefix_estimates(sample_log, steps)))
 
     if "em" in result:
-        trace.to_csv(run.path("em_trace.csv"))
+        run.write_csv("em_trace.csv", ["iter", "alpha", "loglik"],
+                      ((i, *pair) for i, pair in enumerate(trace.iterations)))
     run.write_json("estimate.json", result)
     if args.trace:
         run.write_csv("trace.csv", ["t", "alpha_hat"], rows)

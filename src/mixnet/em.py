@@ -8,7 +8,6 @@ increases the incomplete log-likelihood and converges by its concavity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,13 +70,6 @@ class EmTrace:
     iterations: list = field(default_factory=list)  # (alpha, incomplete loglik)
     converged: bool = False
     final_alpha: float = float("nan")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "alpha", "loglik"])
-            for i, (alpha, loglik) in enumerate(self.iterations):
-                writer.writerow([i, repr(alpha), repr(loglik)])
 
 
 def em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:

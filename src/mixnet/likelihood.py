@@ -17,7 +17,6 @@ exact ``Fraction`` merge of the roots, is a diagnostic and test oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -199,9 +198,6 @@ class MleReport:
             "positive_multiplicity_parity": self.positive_multiplicity_parity,
             "loglik": self.log_likelihood_at_max,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _derivative(d: np.ndarray, c: np.ndarray, alpha, out: np.ndarray | None = None):

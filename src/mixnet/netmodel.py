@@ -9,21 +9,21 @@ to the estimators in :mod:`mixnet.likelihood` and :mod:`mixnet.em`.
 
 All growth runs through one kernel, ``_grow``, over an edge-target list (the
 edge-list form of Batagelj & Brandes 2005): a uniform slot of that list is a
-draw proportional to in-degree.  That list and the in-degrees are the
-network's state, two int64 arrays that each growth call replaces.  The
-kernel reads ``random.Random.random()`` in bulk from numpy's ``MT19937``
-(the same generator, so the same doubles), and runs full steps in windows
-that assume no target or source is drawn twice: every target and source of
-a window comes from a few array operations, and the window is committed up
-to its first step with a repeat.  That step, and each warm-up step of a
-seed smaller than ``max(m, m_hat)``, is drawn one attachment at a time with
-its redraws, up to a limit.  A step's out-edges and
-response edges are stored in the iteration order of CPython's ``set`` of its
-targets and of its sources, which the window reproduces from the hash slots.
-So the records, the network and the generator state afterwards are those of
-drawing one attachment at a time.  The in-degree ``k`` of each pick is one
-gather of the entry in-degrees plus its rank among earlier picks, and the
-pre-step counts ``e_prev`` and ``n_prev`` and the ``step`` column do not
+draw proportional to in-degree.  That list, the in-degrees and, when edges
+are stored, the edge sources are the network's state, int64 arrays that each
+growth call replaces.  The kernel reads ``random.Random.random()`` in bulk
+from numpy's ``MT19937`` (the same generator, so the same doubles), and runs
+full steps in windows that assume no target or source is drawn twice: every
+target and source of a window comes from a few array operations, and the
+window is committed up to its first step with a repeat.  That step, and each
+warm-up step of a seed smaller than ``max(m, m_hat)``, is drawn one
+attachment at a time with its redraws, up to a limit.  A step's out-edges
+and response edges are stored in the iteration order of CPython's ``set`` of
+its targets and of its sources, which the window reproduces from the hash
+slots.  So the records, the network and the generator state afterwards are
+those of drawing one attachment at a time.  The in-degree ``k`` of each pick
+is one gather of the entry in-degrees plus its rank among earlier picks, and
+the pre-step counts ``e_prev`` and ``n_prev`` and the ``step`` column do not
 depend on the draws.
 """
 
@@ -143,14 +143,20 @@ class GrowingNetwork:
 
     Nodes are dense integer ids ``0..n-1``.  ``in_degree`` holds each node's
     in-degree and ``_edge_targets`` one entry per edge (its target), so a
-    uniform index into the latter is a draw proportional to in-degree.  Both
-    are int64 arrays that growth replaces with new ones rather than writes
-    into.  ``edges`` is kept only when requested.
+    uniform index into the latter is a draw proportional to in-degree, and
+    ``_edge_sources``, kept only when requested, each edge's source.  All are
+    int64 arrays that growth replaces with new ones rather than writes into.
     """
 
     in_degree: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    edges: list | None = None
     _edge_targets: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    _edge_sources: np.ndarray | None = None
+
+    @property
+    def edges(self) -> list | None:
+        """The (source, target) pairs in insertion order; None if not stored."""
+        if self._edge_sources is not None:
+            return list(zip(self._edge_sources.tolist(), self._edge_targets.tolist()))
 
     @property
     def node_count(self) -> int:
@@ -163,10 +169,10 @@ class GrowingNetwork:
     @classmethod
     def from_seed(cls, seed: SeedSpec, keep_edges: bool = False) -> "GrowingNetwork":
         index = {label: i for i, label in enumerate(seed.nodes)}
-        pairs = [(index[u], index[v]) for u, v in seed.edges]
-        targets = np.array([v for _, v in pairs], dtype=np.int64)
+        sources = np.array([index[u] for u, _ in seed.edges], dtype=np.int64)
+        targets = np.array([index[v] for _, v in seed.edges], dtype=np.int64)
         return cls(in_degree=np.bincount(targets, minlength=len(seed.nodes)),
-                   edges=pairs if keep_edges else None, _edge_targets=targets)
+                   _edge_targets=targets, _edge_sources=sources if keep_edges else None)
 
     def in_degree_array(self) -> np.ndarray:
         return self.in_degree
@@ -313,9 +319,9 @@ class _Growth:
     """One call's growth, written into preallocated arrays.
 
     ``targets`` is the whole edge-target list, the network's edges first;
-    ``sources`` (kept only with edge storage) holds the new edges' sources,
-    each step's response sources written in set order.  ``picks`` holds the
-    targets of each step in draw order, one per record.
+    ``sources`` (kept only with edge storage) is the edge-source list in the
+    same order, each step's response sources written in set order.
+    ``picks`` holds the targets of each step in draw order, one per record.
     """
 
     def __init__(self, net: GrowingNetwork, params: ModelParams, steps: int,
@@ -337,7 +343,9 @@ class _Growth:
         self.mask = _set_mask(self.m)
         self.targets = np.empty(self.e0 + int(added.sum()), dtype=np.int64)
         self.targets[:self.e0] = net._edge_targets
-        self.sources = np.empty(len(self.targets), dtype=np.int64) if net.edges is not None else None
+        self.sources = None if net._edge_sources is None else np.empty_like(self.targets)
+        if self.sources is not None:
+            self.sources[:self.e0] = net._edge_sources
         self.picks = np.empty(int(self.per_step.sum()), dtype=np.int64)
         self.draws = _Draws(rng, int(self.budget_left[0]))
 
@@ -470,7 +478,7 @@ class _Growth:
         return stop, size
 
     def finish(self, net: GrowingNetwork, steps: int) -> "SampleLog":
-        """Give the network the edges grown and its new in-degrees; return the records."""
+        """Give the network its new edge arrays and in-degrees; return the records."""
         # k = entry in-degree + earlier picks of the same node (one per step),
         # a new node entering with its responses; the rank keys fit in int64
         # since SampleLog bounds n_prev * e_prev by 2**53
@@ -478,10 +486,7 @@ class _Growth:
         in_degree = np.concatenate([net.in_degree, self.responses])
         k = in_degree[self.picks] + earlier
         in_degree[nodes] += sizes
-        if net.edges is not None:
-            new = slice(self.e0, None)
-            net.edges.extend(zip(self.sources[new].tolist(), self.targets[new].tolist()))
-        net.in_degree, net._edge_targets = in_degree, self.targets
+        net.in_degree, net._edge_targets, net._edge_sources = in_degree, self.targets, self.sources
         return SampleLog(k, np.repeat(self.e_prev, self.per_step),
                          np.repeat(self.n_prev, self.per_step),
                          np.repeat(np.arange(1, steps + 1), self.per_step))
@@ -583,10 +588,11 @@ def grow_step(
     return net, list(_grow(net, params, 1, rng).records())
 
 
-def _csv_rows(columns: Sequence[np.ndarray]) -> bytes:
-    """Rows of non-negative int64 columns, as ``"%d,...,%d\\r\\n"`` writes them.
+def _csv_rows(columns: Sequence[np.ndarray], sep: str, end: str) -> bytes:
+    """Rows of non-negative int64 columns, as ``"%d<sep>...%d<end>"`` writes them.
 
-    Each field is its digits and a comma, or CR LF after a row's last field.
+    Each field is its digits and the field separator ``sep`` (one ASCII
+    character), or the line end ``end`` (ASCII) after a row's last field.
     The digits go in least significant first, one pass per digit place over
     the fields that have one.
     """
@@ -594,10 +600,10 @@ def _csv_rows(columns: Sequence[np.ndarray]) -> bytes:
     digits = np.searchsorted(_POW10, value, side="right") + 1
     last = slice(len(columns) - 1, None, len(columns))
     width = digits + 1
-    width[last] += 1
+    width[last] += len(end) - 1
     ends = np.cumsum(width)
-    buf = np.full(int(ends[-1]), ord(","), dtype=np.uint8)
-    buf[ends[last] - 2], buf[ends[last] - 1] = ord("\r"), ord("\n")
+    buf = np.full(int(ends[-1]), ord(sep), dtype=np.uint8)
+    buf[ends[last, None] + np.arange(-len(end), 0)] = np.frombuffer(end.encode(), dtype=np.uint8)
     # the longest fields first (a stable sort of int8 is a radix sort), so
     # each pass takes a prefix; pos is each field's next digit leftwards
     order = np.argsort(-digits.astype(np.int8), kind="stable")
@@ -693,35 +699,36 @@ class SampleLog:
         return SampleLog(self.k[mask], self.e_prev[mask], self.n_prev[mask], self.step[mask])
 
     def to_csv(self, path) -> None:
+        columns = (self.step, self.k, self.e_prev, self.n_prev)
         with open(path, "wb") as fh:
             fh.write((",".join(_CSV_HEADER) + "\r\n").encode())
             for i in range(0, len(self), _CSV_CHUNK):
-                fh.write(_csv_rows([a[i:i + _CSV_CHUNK]
-                                    for a in (self.step, self.k, self.e_prev, self.n_prev)]))
+                fh.write(_csv_rows([a[i:i + _CSV_CHUNK] for a in columns], ",", "\r\n"))
 
     @classmethod
     def from_csv(cls, path) -> "SampleLog":
         # numpy's parser can crash the interpreter on non-ASCII text (code
-        # points from about U+50000 up); the chunks bound the memory
-        with open(path, "rb") as raw:
-            is_ascii = all(chunk.isascii() for chunk in iter(lambda: raw.read(1 << 20), b""))
-        with open(path) as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            if header != _CSV_HEADER:
-                raise ValueError(f"{path}: unexpected sample log header {header}")
-            # np.loadtxt skips empty lines, but warns on a body of nothing else
-            body = fh.tell()
-            while (line := fh.readline()) == "\n":
+        # points from about U+50000 up), so it reads the file decoded as ASCII
+        try:
+            with open(path, encoding="ascii") as fh:
+                header = fh.readline().rstrip("\n").split(",")
+                if header != _CSV_HEADER:
+                    raise ValueError(f"{path}: unexpected sample log header {header}")
+                # np.loadtxt skips empty lines, but warns on a body of nothing else
                 body = fh.tell()
-            if not line:
-                return cls.empty()
-            if not is_ascii:
-                raise ValueError(f"{path}: malformed row: a sample log is ASCII text")
-            fh.seek(body)
-            try:
-                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed row: {exc}") from exc
+                while (line := fh.readline()) == "\n":
+                    body = fh.tell()
+                if not line:
+                    return cls.empty()
+                fh.seek(body)
+                try:
+                    rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+                except UnicodeDecodeError:
+                    raise
+                except ValueError as exc:
+                    raise ValueError(f"{path}: malformed row: {exc}") from exc
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: malformed row: a sample log is ASCII text") from None
         if rows.shape[1] != len(_CSV_HEADER):
             raise ValueError(f"{path}: malformed row: {rows.shape[1]} columns, "
                              f"expected {len(_CSV_HEADER)}")
@@ -750,11 +757,13 @@ def make_rng(seed: int, stream: int = 0) -> random.Random:
 
 
 def write_edge_list(net: GrowingNetwork, path) -> None:
-    if net.edges is None:
+    """Each edge as ``src dst`` (dense node ids) and LF, in insertion order."""
+    if net._edge_sources is None:
         raise ValueError("network was grown without edge storage")
-    with open(path, "w") as fh:
-        for u, v in net.edges:
-            fh.write(f"{u} {v}\n")
+    columns = (net._edge_sources, net._edge_targets)
+    with open(path, "wb") as fh:
+        for i in range(0, net.edge_count, _CSV_CHUNK):
+            fh.write(_csv_rows([a[i:i + _CSV_CHUNK] for a in columns], " ", "\n"))
 
 
 def _read_pairs(path, expected: str, dated: bool = False) -> tuple[list, list]:

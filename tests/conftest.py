@@ -1,5 +1,6 @@
 """Shared fixtures and random-log helpers for the test suite."""
 
+import csv
 import math
 import random
 
@@ -106,7 +107,8 @@ def reference_grow(net: GrowingNetwork, params: ModelParams, steps: int,
 
     The per-attachment loop that ``netmodel._grow`` replaced, kept verbatim
     as the differential oracle for the windowed kernel; it runs on lists
-    taken from the network's int64 arrays and writes arrays back.
+    taken from the network's int64 arrays (the edges as (source, target)
+    tuples, if stored) and writes arrays back.
 
     Rejection from the full mixture conditioned on "not chosen yet" equals
     sequential renormalized draws without replacement.  With fewer than m
@@ -168,9 +170,31 @@ def reference_grow(net: GrowingNetwork, params: ModelParams, steps: int,
         raise RuntimeError("growth loop broke the per-step node or edge budget")
     net.in_degree = np.array(in_degree, dtype=np.int64)
     net._edge_targets = np.array(targets, dtype=np.int64)
+    if edges is not None:
+        net._edge_sources = np.array([u for u, _ in edges], dtype=np.int64)
     return SampleLog(
         ks,
         np.repeat(e_prev, per_step),
         np.repeat(n_prev, per_step),
         np.repeat(np.arange(1, steps + 1), per_step),
     )
+
+
+def reference_write_edge_list(net: GrowingNetwork, path) -> None:
+    """``write_edge_list`` as one f-string per edge, the writer that
+    ``_csv_rows`` replaced, kept verbatim as its differential oracle."""
+    if net.edges is None:
+        raise ValueError("network was grown without edge storage")
+    with open(path, "w") as fh:
+        for u, v in net.edges:
+            fh.write(f"{u} {v}\n")
+
+
+def reference_em_trace_csv(trace, path) -> None:
+    """``EmTrace.to_csv``, the writer of ``em_trace.csv`` that ``estimate``
+    replaced with its own float-table writer, kept verbatim as its oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "alpha", "loglik"])
+        for i, (alpha, loglik) in enumerate(trace.iterations):
+            writer.writerow([i, repr(alpha), repr(loglik)])

@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixnet
-from mixnet import ModelParams, SampleLog, mle_estimate, netmodel
+from mixnet import ModelParams, SampleLog, em_estimate, mle_estimate, netmodel
 from mixnet.cli import build_parser, main
 from mixnet.likelihood import NoInformationError
 
-from conftest import head_sum_ccdf
+from conftest import head_sum_ccdf, random_log, reference_em_trace_csv
 
 
 def read_manifest(out_dir):
@@ -103,6 +103,24 @@ class TestEstimate:
         assert (out / "em_trace.csv").exists()
         printed = json.loads(capsys.readouterr().out)
         assert printed == result
+
+    @pytest.mark.parametrize("source", ["random", "simulated"])
+    def test_em_trace_matches_reference_writer(self, sim_dir, tmp_path, source):
+        # em_trace.csv holds the bytes EmTrace.to_csv wrote for em_estimate
+        # of the same log, a row per iterate from alpha_init on
+        log_path = sim_dir / "samplelog.csv"
+        if source == "random":
+            log_path = tmp_path / "random.csv"
+            random_log(random.Random(4)).to_csv(log_path)
+        out, expected = tmp_path / "est", tmp_path / "expected.csv"
+        assert run(["estimate", log_path, "--method", "em", "--out", out]) == 0
+        trace = em_estimate(SampleLog.from_csv(log_path))
+        reference_em_trace_csv(trace, expected)
+        written = (out / "em_trace.csv").read_bytes()
+        assert written == expected.read_bytes()
+        lines = written.decode().strip().splitlines()
+        assert lines[0] == "iter,alpha,loglik"
+        assert len(lines) == len(trace.iterations) + 1
 
     def test_mle_only(self, sim_dir, tmp_path):
         out = tmp_path / "est"

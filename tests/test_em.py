@@ -145,12 +145,3 @@ class TestEmEstimate:
         a_mle = mle_estimate(log).alpha_hat
         a_em = em_estimate(log).final_alpha
         assert a_em == pytest.approx(a_mle, abs=1e-3)
-
-    def test_trace_csv(self, tmp_path):
-        rng = random.Random(4)
-        trace = em_estimate(random_log(rng))
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,alpha,loglik"
-        assert len(lines) == len(trace.iterations) + 1

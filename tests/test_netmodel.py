@@ -38,7 +38,7 @@ from mixnet.netmodel import (
     write_edge_list,
 )
 
-from conftest import reference_grow, reference_to_csv
+from conftest import reference_grow, reference_to_csv, reference_write_edge_list
 
 
 class TestAttachmentProbability:
@@ -410,6 +410,25 @@ class TestGrowthKernel:
         assert net.in_degree_array() is net.in_degree
         assert net.in_degree.sum() == net.edge_count
         assert np.bincount(net._edge_targets).tolist() == net.in_degree.tolist()
+        assert net._edge_sources is None and net.edges is None
+        # with edge storage each call replaces the source array, leaving the
+        # old one as it was; edges equals the tuple list the loop builds
+        seed = SeedSpec.complete(4)
+        net, loop = (GrowingNetwork.from_seed(seed, keep_edges=True) for _ in range(2))
+        rng, loop_rng = make_rng(1), make_rng(1)
+        assert net.edges == list(seed.edges)  # K4's labels are its ids
+        for grow, steps in [(_grow_one, 1), (_grow, 40), (_grow_one, 1), (_grow, 0)]:
+            before = net._edge_sources
+            kept = before.copy()
+            grow(net, params, steps, rng)
+            reference_grow(loop, params, steps, loop_rng)
+            assert type(net._edge_sources) is np.ndarray and net._edge_sources.dtype == np.int64
+            assert (net._edge_sources is not before) == (steps > 0)
+            assert np.array_equal(before, kept)
+            assert len(net._edge_sources) == net.edge_count
+            assert net.edges == loop.edges
+            assert all(type(u) is int and type(v) is int for u, v in net.edges)
+        assert GrowingNetwork.from_seed(seed).edges is None
 
     def test_rejects_random_subclass(self):
         class Fixed(random.Random):
@@ -608,6 +627,19 @@ class TestSampleLog:
         with pytest.raises(ValueError, match="malformed row: a sample log is ASCII text"):
             SampleLog.from_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        "step,k,e_prev,n_prev\n" + "".join(f"{t},1,6,3\n" for t in range(1, 5001))
+        + "5001,1,6,\U000eb7f6\n",
+        "step,k,e_prev,n_prév\n1,1,6,3\n",
+    ], ids=["after-5000-rows", "header"])
+    def test_from_csv_rejects_non_ascii_anywhere(self, tmp_path, text):
+        # a code point after 5,000 good rows, which np.loadtxt's own reading
+        # decodes, and one in the header
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed row: a sample log is ASCII text"):
+            SampleLog.from_csv(path)
+
     def test_prefix(self):
         log = self.make_log()
         first = log.prefix(1)
@@ -668,15 +700,59 @@ class TestEdgeListIO:
         back = read_seed_spec(path)
         assert len(back.edges) == net.edge_count
 
-    def test_pinned_edge_list(self, tmp_path):
+    @pytest.mark.parametrize("alpha,digest", [
+        (0, "a0c1edd63bd5574bdba8853266c2d0da5a3e2a0d037913aa799cc8f4a2863da3"),
+        (0.6, "386268ef01cca1a02d2a4b755186997b212870db02bab213e2dddfd81e0c6efa"),
+        (1, "1c61d75fecf8a1d6fe58477701bde8debbb17aba561d5ef50f85706b65da8901"),
+    ])
+    def test_pinned_edge_list(self, tmp_path, alpha, digest):
         # the bytes --export-graph wrote before the growth loop was merged
+        # (alpha = 0.6), and with the per-edge f-string writer (0 and 1)
         with pytest.warns(UserWarning):
-            net, _ = grow_sequence(SeedSpec.complete(3), ModelParams(m=5, m_hat=3, alpha=0.6),
+            net, _ = grow_sequence(SeedSpec.complete(3), ModelParams(m=5, m_hat=3, alpha=alpha),
                                    500, make_rng(4), keep_edges=True)
         path = tmp_path / "graph.edgelist"
         write_edge_list(net, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "386268ef01cca1a02d2a4b755186997b212870db02bab213e2dddfd81e0c6efa")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    LABELED_SEED = "# string labels\nx y\ny z\nz x\nw x\nx w\ny w\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed_name=st.sampled_from(["K2", "K3", "K4", "K5", "K6", "labels"]),
+           m=st.integers(1, 5), m_hat=st.integers(0, 3),
+           alpha=st.sampled_from([0.0, 0.6, 1.0]),
+           steps=st.integers(0, 600),
+           later=st.lists(st.integers(1, 300), max_size=3),
+           stream=st.integers(0, 1000))
+    @example(seed_name="K3", m=5, m_hat=3, alpha=0.6, steps=600, later=[1, 1, 40], stream=0)
+    @example(seed_name="labels", m=2, m_hat=1, alpha=0.0, steps=0, later=[1], stream=3)
+    def test_write_matches_reference_writer(self, seed_name, m, m_hat, alpha, steps, later,
+                                            stream):
+        # one grow_sequence call, then up to three calls of the kernel (one
+        # step: through grow_step); the first example crosses _CSV_CHUNK rows
+        assume(m_hat > 0 or alpha < 1.0)
+        params, rng = ModelParams(m=m, m_hat=m_hat, alpha=alpha), make_rng(stream)
+        with tempfile.TemporaryDirectory() as tmp:
+            if seed_name == "labels":
+                seed = os.path.join(tmp, "seed.edgelist")
+                with open(seed, "w") as fh:
+                    fh.write(self.LABELED_SEED)
+                seed = read_seed_spec(seed)
+            else:
+                seed = SeedSpec.complete(int(seed_name[1:]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                net, _ = grow_sequence(seed, params, steps, rng, keep_edges=True)
+            for count in later:
+                if count == 1:
+                    grow_step(net, params, rng)
+                else:
+                    _grow(net, params, count, rng)
+            ours, theirs = os.path.join(tmp, "ours"), os.path.join(tmp, "theirs")
+            write_edge_list(net, ours)
+            reference_write_edge_list(net, theirs)
+            with open(ours, "rb") as a, open(theirs, "rb") as b:
+                assert a.read() == b.read()
 
     def test_write_requires_edges(self):
         net, _ = grow_sequence(SeedSpec.complete(3), ModelParams(m=1, m_hat=0, alpha=0.5),

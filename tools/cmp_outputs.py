@@ -1,0 +1,131 @@
+"""Byte-compare mixnet's outputs from two source trees.
+
+    python tools/cmp_outputs.py BASE_SRC CHANGE_SRC [--steps N]
+
+BASE_SRC and CHANGE_SRC are ``src`` directories (each holding ``mixnet``).
+Every call below runs once per side, each in a fresh interpreter with
+``PYTHONPATH`` set to that side's tree and its working directory in that
+side's own directory under a temporary one:
+
+- ``simulate complete:3 --m 5 --m-hat 3 --rng-seed 1 --export-graph`` at
+  alpha 0, 0.6 and 1;
+- ``estimate --method both --trace --stride 500`` on each of those logs;
+- ``estimate --trace --snapshot-mode`` on each of those logs;
+- ``dist --m 5 --m-hat 3 --alpha 0.6 --k-max 45 --ensemble 3 --workers 2``;
+- ``cite`` on the seed-0 pair of ``perfbench/inputs.py`` (10,000 papers).
+
+``--steps`` (default 20000, the paper's FIG3) sets the growth steps of
+``simulate`` and ``dist``.  The tool compares each call's stdout and every
+output file byte for byte; ``manifest.json`` is compared without
+``duration_s`` and its output paths.  It prints one line per stdout and
+file, ``same`` or ``DIFF``, and exits 0 if all are equal, 1 on any
+difference, and 2 if a call fails on either side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ALPHAS = ("0", "0.6", "1")
+
+
+class CallFailed(Exception):
+    """A call exited non-zero, so there is nothing to compare."""
+
+
+def calls(steps: int, cite_argv: list) -> list:
+    """(output directory, mixnet argv) of each call, in run order."""
+    out = []
+    for alpha in ALPHAS:
+        out.append((f"simulate-{alpha}", [
+            "simulate", "complete:3", "--m", "5", "--m-hat", "3", "--alpha", alpha,
+            "--steps", str(steps), "--rng-seed", "1", "--export-graph"]))
+    for alpha in ALPHAS:
+        log = os.path.join(f"simulate-{alpha}", "samplelog.csv")
+        out.append((f"estimate-{alpha}", [
+            "estimate", log, "--method", "both", "--trace", "--stride", "500"]))
+        out.append((f"snapshot-{alpha}", ["estimate", log, "--trace", "--snapshot-mode"]))
+    out.append(("dist", ["dist", "--m", "5", "--m-hat", "3", "--alpha", "0.6", "--k-max", "45",
+                         "--ensemble", "3", "--workers", "2", "--steps", str(steps)]))
+    out.append(("cite", cite_argv))
+    return out
+
+
+def run_side(src: Path, side_dir: Path, name: str, argv: list) -> bytes:
+    """Run one call in a fresh interpreter; return its stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "MIXNET_OUT"}
+    env["PYTHONPATH"] = str(src)
+    done = subprocess.run([sys.executable, "-m", "mixnet.cli", *argv, "--out", name],
+                          cwd=side_dir, env=env, capture_output=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr.decode(errors="replace"))
+        raise CallFailed(f"{side_dir.name}: {' '.join(argv[:1])} -> {name} exited "
+                         f"{done.returncode}")
+    return done.stdout
+
+
+def comparable(path: Path) -> bytes:
+    """The file's bytes; a manifest without its duration and output paths."""
+    data = path.read_bytes()
+    if path.name != "manifest.json":
+        return data
+    manifest = json.loads(data)
+    manifest.pop("duration_s", None)
+    manifest["outputs"] = [os.path.basename(p) for p in manifest.get("outputs", [])]
+    return json.dumps(manifest, sort_keys=True).encode()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--steps", type=int, default=20000)
+    args = parser.parse_args(argv)
+    sides = {"base": args.base_src.resolve(), "change": args.change_src.resolve()}
+    for src in sides.values():
+        if not (src / "mixnet" / "__init__.py").is_file():
+            parser.error(f"{src} holds no mixnet package")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        data = work / "cite-input"
+        data.mkdir()
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        import inputs  # mixnet-free generator of the benchmark's citation pair
+
+        pair = inputs.citation_data(0, 10000, data / "edges.txt", data / "dates.txt")
+        cite_argv = ["cite", str(data / "edges.txt"), str(data / "dates.txt"),
+                     "--cutoff", pair.cutoff, "--m", "12", "--m-hat", "0"]
+        try:
+            differ = False
+            for name, call in calls(args.steps, cite_argv):
+                dirs = {side: work / side for side in sides}
+                stdout = {}
+                for side, src in sides.items():
+                    dirs[side].mkdir(exist_ok=True)
+                    stdout[side] = run_side(src, dirs[side], name, call)
+                lines = [(f"{name} stdout", stdout["base"] == stdout["change"])]
+                files = sorted({p.relative_to(d) for d in dirs.values()
+                                for p in (d / name).rglob("*") if p.is_file()})
+                for rel in files:
+                    a, b = dirs["base"] / rel, dirs["change"] / rel
+                    same = a.is_file() and b.is_file() and comparable(a) == comparable(b)
+                    lines.append((str(rel), same))
+                for label, same in lines:
+                    print(f"{'same' if same else 'DIFF'}  {label}")
+                    differ |= not same
+        except CallFailed as exc:
+            print(f"cmp_outputs: {exc}", file=sys.stderr)
+            return 2
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
