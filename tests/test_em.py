@@ -18,6 +18,7 @@ from mixnet import (
     mle_estimate,
     responsibility,
 )
+from mixnet.cli import main
 
 from conftest import random_log
 
@@ -145,3 +146,15 @@ class TestEmEstimate:
         a_mle = mle_estimate(log).alpha_hat
         a_em = em_estimate(log).final_alpha
         assert a_em == pytest.approx(a_mle, abs=1e-3)
+
+    def test_trace_csv(self, tmp_path):
+        # the trace is written by estimate --method em, a row per iterate
+        rng = random.Random(4)
+        log = random_log(rng)
+        log_path, out = tmp_path / "log.csv", tmp_path / "est"
+        log.to_csv(log_path)
+        assert main(["estimate", str(log_path), "--method", "em", "--out", str(out)]) == 0
+        trace = em_estimate(SampleLog.from_csv(log_path))
+        lines = (out / "em_trace.csv").read_text().strip().splitlines()
+        assert lines[0] == "iter,alpha,loglik"
+        assert len(lines) == len(trace.iterations) + 1

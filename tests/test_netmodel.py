@@ -700,14 +700,21 @@ class TestEdgeListIO:
         back = read_seed_spec(path)
         assert len(back.edges) == net.edge_count
 
+    def test_pinned_edge_list(self, tmp_path):
+        # the bytes --export-graph wrote before the growth loop was merged
+        self.check_pinned_edge_list(
+            tmp_path, 0.6, "386268ef01cca1a02d2a4b755186997b212870db02bab213e2dddfd81e0c6efa")
+
     @pytest.mark.parametrize("alpha,digest", [
         (0, "a0c1edd63bd5574bdba8853266c2d0da5a3e2a0d037913aa799cc8f4a2863da3"),
-        (0.6, "386268ef01cca1a02d2a4b755186997b212870db02bab213e2dddfd81e0c6efa"),
         (1, "1c61d75fecf8a1d6fe58477701bde8debbb17aba561d5ef50f85706b65da8901"),
     ])
-    def test_pinned_edge_list(self, tmp_path, alpha, digest):
-        # the bytes --export-graph wrote before the growth loop was merged
-        # (alpha = 0.6), and with the per-edge f-string writer (0 and 1)
+    def test_pinned_edge_list_at_alpha_bounds(self, tmp_path, alpha, digest):
+        # the bytes the per-edge f-string writer wrote
+        self.check_pinned_edge_list(tmp_path, alpha, digest)
+
+    @staticmethod
+    def check_pinned_edge_list(tmp_path, alpha, digest):
         with pytest.warns(UserWarning):
             net, _ = grow_sequence(SeedSpec.complete(3), ModelParams(m=5, m_hat=3, alpha=alpha),
                                    500, make_rng(4), keep_edges=True)
