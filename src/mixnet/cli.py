@@ -101,6 +101,9 @@ def cmd_simulate(args, run: _Run) -> None:
     sample_log.to_csv(run.path("samplelog.csv"))
     if args.export_graph:
         write_edge_list(net, run.path("graph.edgelist"))
+        if not args.seed_spec.startswith("complete:"):
+            # the graph numbers a file seed's nodes 0..n0-1 in this order
+            run.params["seed_labels"] = list(seed_spec.nodes)
     run.params.update(nodes=net.node_count, edges=net.edge_count)
 
 

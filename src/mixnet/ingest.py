@@ -6,12 +6,16 @@ Papers dated up to a cutoff, together with the papers they cite, form the
 seed; the remaining dated papers arrive one per step in (date, id) order and
 their citations become attachment records against the pre-arrival snapshot.
 
-Paper ids are interned once into integer codes in string order; cleaning
-and ordering are then masks, sorts and counts on numpy columns.  A record's
-k is the target's seed in-degree plus its earlier citations, ranked by the
-same sort as the growth kernel's k (``netmodel._repeat_rank``); ``n_prev``
-at step t counts the nodes whose entry step is below t (0 for seed nodes,
-else the earlier of the node's arrival and its first citation).
+The reader interns each file's ids into integer codes in string order: it
+packs every field's bytes into uint64 sort keys, groups equal keys after one
+sort and decodes one string per distinct id, and it parses each distinct
+date string once.  The loader merges the two files' distinct ids and recodes
+the pairs; cleaning (the duplicate-pair drop is the reader's sort-and-group
+again) and ordering are then masks, sorts and counts on numpy columns.  A
+record's k is the target's seed in-degree plus its earlier citations, ranked
+by the same sort as the growth kernel's k (``netmodel._repeat_rank``);
+``n_prev`` at step t counts the nodes whose entry step is below t (0 for
+seed nodes, else the earlier of the node's arrival and its first citation).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .netmodel import ParseError, SampleLog, SeedSpec, _read_pairs, _repeat_rank
+from .netmodel import ParseError, SampleLog, SeedSpec, _read_pairs, _repeat_rank, _sort_groups
 
 log = logging.getLogger(__name__)
 
@@ -60,20 +64,28 @@ def load_dataset(edge_path, dates_path) -> CitationDataset:
     Self-citations, citations from undated papers (which cannot be placed in
     the sequence) and repeated pairs are dropped, with counts and warnings.
     """
-    dates = dict(zip(*_read_pairs(dates_path, "id date", dated=True)))
-    citing, cited = _read_pairs(edge_path, "citing cited")
-    labels = sorted(set(citing).union(cited, dates))
-    index = {label: i for i, label in enumerate(labels)}
-    u, v = np.fromiter(map(index.__getitem__, citing + cited), dtype=np.int64,
-                       count=2 * len(citing)).reshape(2, -1)
+    dated, (paper, ordinal) = _read_pairs(dates_path, "id date", dated=True)
+    ids, pairs = _read_pairs(edge_path, "citing cited")
+    labels = sorted(set(ids).union(dated))
+    index = dict(zip(labels, range(len(labels))))
+
+    def recode(names: list) -> np.ndarray:
+        return np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
+
+    u, v = recode(ids)[pairs]
+    dates = dict(zip(map(dated.__getitem__, paper.tolist()),
+                     map(datetime.date.fromordinal, ordinal.tolist())))
+    # a paper dated twice keeps its last date, as in the dict
+    last = np.zeros(len(dated), dtype=np.int64)
+    np.maximum.at(last, paper, np.arange(len(paper)))
     day = np.full(len(labels), -1, dtype=np.int64)
-    day[[index[p] for p in dates]] = [d.toordinal() for d in dates.values()]
+    day[recode(dated)] = ordinal[last]
     # self-citations first, then every pair from an undated paper, then repeats
     selfcite = u == v
     undated = ~selfcite & (day[u] < 0)
     candidates = np.flatnonzero(~selfcite & ~undated)
-    _, first = np.unique(u[candidates] * len(labels) + v[candidates], return_index=True)
-    kept = np.sort(candidates[first])
+    order, heads = _sort_groups((u[candidates] * len(labels) + v[candidates])[None])
+    kept = np.sort(candidates[np.minimum.reduceat(order, heads)])
     dup, selfcite, undated = len(candidates) - len(kept), int(selfcite.sum()), int(undated.sum())
     for count, what in ((dup, "duplicate citation pairs"), (selfcite, "self-citations"),
                         (undated, "citations from papers without a date")):

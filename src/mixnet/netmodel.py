@@ -766,34 +766,161 @@ def write_edge_list(net: GrowingNetwork, path) -> None:
             fh.write(_csv_rows([a[i:i + _CSV_CHUNK] for a in columns], " ", "\n"))
 
 
-def _read_pairs(path, expected: str, dated: bool = False) -> tuple[list, list]:
-    """The two fields of each data line (not blank, not '#'), as two lists.
+#: the code points for which ``str.isspace`` is true, as inclusive ranges
+_SPACES = ((0x09, 0x0D), (0x1C, 0x20), (0x85, 0x85), (0xA0, 0xA0), (0x1680, 0x1680),
+           (0x2000, 0x200A), (0x2028, 0x2029), (0x202F, 0x202F), (0x205F, 0x205F),
+           (0x3000, 0x3000))
+#: ``_KEEP[b]`` keeps the high ``b`` bytes of a uint64
+_KEEP = np.array([(1 << 64) - (1 << (64 - 8 * b)) for b in range(8)], dtype=np.uint64)
 
-    The first line without two fields, or (if ``dated``) whose second field
-    is not an ISO date, raises ParseError; the second fields become dates.
+
+def _is_space(cp: np.ndarray) -> np.ndarray:
+    """``str.isspace`` of each code point of an unsigned array, by comparisons
+    (a lookup table would build an 8-byte index per character)."""
+    space = np.zeros(len(cp), dtype=bool)
+    top = cp.max(initial=0)
+    for lo, hi in _SPACES:
+        if lo > top:
+            break
+        space |= cp - cp.dtype.type(lo) <= hi - lo  # wraps below lo
+    return space
+
+
+def _sort_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the columns of a (words, n) key array into runs of equal columns.
+
+    Returns the sorting order, unstable (a run's members come in no set
+    order), and each run's start in it.  One word sorts by ``argsort``, more
+    by one ``lexsort`` with the first word the most significant.
+    """
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    ranked = keys[:, order]
+    head = np.ones(len(order), dtype=bool)
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=head[1:])
+    return order, np.flatnonzero(head)
+
+
+def _byte_keys(units: np.ndarray, width: int, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """(words, n) uint64 keys that sort the byte strings ``units[start * width:
+    end * width]`` as ``bytes`` sort.
+
+    Each word holds 7 of a string's bytes, big-endian, above a low byte that
+    counts how many of the 7 are the string's, so a string sorts before its
+    extensions (``b"a"`` before ``b"a\\x00"``); words past the end are 0.
+    """
+    buf = np.zeros(len(units) + 8, dtype=np.uint8)
+    buf[:len(units)] = units
+    # the 8 bytes from each offset, as one big-endian word
+    window = np.ndarray((len(units) + 1,), dtype=">u8", buffer=buf, strides=(1,))
+    size = (end - start) * width
+    keys = np.empty((max(-(-int(size.max(initial=0)) // 7), 1), len(start)), dtype=np.uint64)
+    for w, key in enumerate(keys):
+        at = start * width + 7 * w
+        key[:] = window[np.minimum(at, len(units), out=at)]
+        count = np.clip(size - 7 * w, 0, 7)
+        key &= _KEEP[count]
+        key |= count.view(np.uint64)
+    return keys
+
+
+def _intern(text: str, units: np.ndarray, width: int, start: np.ndarray,
+            end: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct fields ``text[start:end]`` in ``str`` order, and each
+    field's index among them.
+
+    ``units`` holds each code point of ``text`` as ``width`` big-endian
+    bytes, so the fields' bytes sort as their strings do.  One sort of their
+    keys groups equal fields; only the first of each group is sliced out of
+    ``text``.
+    """
+    order, heads = _sort_groups(_byte_keys(units, width, start, end))
+    rank = np.zeros(len(order), dtype=np.int64)
+    rank[heads[1:]] = 1
+    np.cumsum(rank, out=rank)
+    codes = np.empty_like(rank)
+    codes[order] = rank
+    first = order[heads]
+    return [text[i:j] for i, j in zip(start[first].tolist(), end[first].tolist())], codes
+
+
+def _read_pairs(path, expected: str, dated: bool = False) -> tuple[list, np.ndarray]:
+    """The two fields of each data line (not blank, not '#'), interned.
+
+    Returns the distinct fields in ``str`` order and a (2, lines) int64 array
+    of each line's fields as indices into them.  If ``dated``, the distinct
+    fields are the first fields only, and the second row holds each second
+    field's ISO date as ``date.toordinal()``, each distinct date string
+    parsed once.  The first line without two fields, or (if ``dated``) whose
+    second field is not an ISO date, raises ParseError.
+
+    The text is read as usual (locale decoding, universal newlines), then
+    held as one code point per array entry, uint8 if ASCII, else uint32.
+    Fields are the runs of code points that ``str.isspace`` rejects, lines
+    end at LF, and each line's first field is found by ``searchsorted``; no
+    ``str`` is made per field (see ``_intern``).
     """
     with open(path) as fh:
-        lines = [line.strip() for line in fh.read().split("\n")]
-    rows = [line for line in lines if line and line[0] != "#"]
-    counts = np.fromiter(map(len, map(str.split, rows)), dtype=np.int64, count=len(rows))
-    bad = min(np.flatnonzero(counts != 2).tolist(), default=len(rows))
-    fields = " ".join(rows[:bad]).split()
-    first, second = fields[0::2], fields[1::2]
-    error, cause = (f"expected '{expected}', got {rows[bad]!r}" if bad < len(rows) else None), None
-    for j, text in enumerate(second if dated else ()):
-        try:
-            second[j] = datetime.date.fromisoformat(text)
-        except ValueError as exc:
-            bad, error, cause = j, f"bad date {text!r}", exc
-            break
-    if error is not None:
-        number = [i for i, line in enumerate(lines, start=1) if line and line[0] != "#"][bad]
-        raise ParseError(f"{path}:{number}: {error}") from cause
-    return first, second
+        text = fh.read()
+    if text.isascii():
+        cp = units = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        width = 1
+    else:
+        cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        width = 1 if cp.max() < 0x100 else 2 if cp.max() < 0x10000 else 3
+        units = cp.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - width:].ravel()
+    bounds = np.flatnonzero(np.diff(~_is_space(cp), prepend=False, append=False))
+    start, end = bounds[0::2], bounds[1::2]
+    newlines = np.flatnonzero(cp == ord("\n"))
+    # each line's first field: a distinct first field after the start or an LF
+    heads = np.append(0, np.searchsorted(start, newlines))
+    heads = heads[np.diff(heads, append=len(start)) > 0]
+    data = cp[start[heads]] != ord("#")
+    wrong = np.diff(heads, append=len(start))[data] != 2
+    heads = heads[data]
+    bad = int(np.argmax(wrong)) if wrong.any() else len(heads)
+    first = heads[:bad]
+
+    def fail(row: int, error: str | None = None, cause=None):
+        number = int(np.searchsorted(newlines, start[heads[row]]))  # LFs before the line
+        if error is None:
+            lo = int(newlines[number - 1]) + 1 if number else 0
+            hi = int(newlines[number]) if number < len(newlines) else len(text)
+            error = f"expected '{expected}', got {text[lo:hi].strip()!r}"
+        raise ParseError(f"{path}:{number + 1}: {error}") from cause
+
+    if dated:
+        labels, ids = _intern(text, units, width, start[first], end[first])
+        days, day_code = _intern(text, units, width, start[first + 1], end[first + 1])
+        ordinal, causes = np.zeros(len(days), dtype=np.int64), {}
+        for i, day in enumerate(days):
+            try:
+                ordinal[i] = datetime.date.fromisoformat(day).toordinal()
+            except ValueError as exc:
+                causes[i] = exc
+        if causes:
+            broken = np.zeros(len(days), dtype=bool)
+            broken[list(causes)] = True
+            row = int(np.argmax(broken[day_code]))
+            fail(row, f"bad date {days[day_code[row]]!r}", causes[int(day_code[row])])
+    if bad < len(heads):
+        fail(bad)
+    if dated:
+        return labels, np.stack([ids, ordinal[day_code]])
+    fields = np.concatenate([first, first + 1])
+    labels, codes = _intern(text, units, width, start[fields], end[fields])
+    return labels, codes.reshape(2, -1)
 
 
 def read_seed_spec(path) -> SeedSpec:
-    """Seed from an edge-list file: 'src dst' pairs in the citation files' grammar."""
-    sources, targets = _read_pairs(path, "src dst")
-    edges = tuple(zip(sources, targets))
-    return SeedSpec(tuple(dict.fromkeys(itertools.chain.from_iterable(edges))), edges)
+    """Seed from an edge-list file: 'src dst' pairs in the citation files' grammar.
+
+    Nodes come in order of first appearance, ``src`` before ``dst``.
+    """
+    labels, pairs = _read_pairs(path, "src dst")
+    ends = pairs.T.ravel()
+    order, heads = _sort_groups(ends[None])
+    # a run of equal ends is one label, so runs are in label order
+    nodes = np.argsort(np.minimum.reduceat(order, heads))
+    name = labels.__getitem__
+    return SeedSpec(tuple(map(name, nodes.tolist())),
+                    tuple(zip(map(name, pairs[0].tolist()), map(name, pairs[1].tolist()))))

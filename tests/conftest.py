@@ -1,6 +1,7 @@
 """Shared fixtures and random-log helpers for the test suite."""
 
 import csv
+import datetime
 import math
 import random
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from mixnet import GrowingNetwork, ModelParams, SampleLog, SeedSpec, grow_sequence, make_rng
-from mixnet.netmodel import _CSV_CHUNK, _CSV_HEADER, StructuralError
+from mixnet.netmodel import _CSV_CHUNK, _CSV_HEADER, ParseError, StructuralError
 
 
 def random_record(rng: random.Random, pool_bias: bool = False):
@@ -198,3 +199,31 @@ def reference_em_trace_csv(trace, path) -> None:
         writer.writerow(["iter", "alpha", "loglik"])
         for i, (alpha, loglik) in enumerate(trace.iterations):
             writer.writerow([i, repr(alpha), repr(loglik)])
+
+
+def reference_read_pairs(path, expected: str, dated: bool = False) -> tuple[list, list]:
+    """The whole-file pair reader that the interned ``netmodel._read_pairs``
+    replaced, kept verbatim as its oracle: the two fields of each data line
+    (not blank, not '#'), as two lists.
+
+    The first line without two fields, or (if ``dated``) whose second field
+    is not an ISO date, raises ParseError; the second fields become dates.
+    """
+    with open(path) as fh:
+        lines = [line.strip() for line in fh.read().split("\n")]
+    rows = [line for line in lines if line and line[0] != "#"]
+    counts = np.fromiter(map(len, map(str.split, rows)), dtype=np.int64, count=len(rows))
+    bad = min(np.flatnonzero(counts != 2).tolist(), default=len(rows))
+    fields = " ".join(rows[:bad]).split()
+    first, second = fields[0::2], fields[1::2]
+    error, cause = (f"expected '{expected}', got {rows[bad]!r}" if bad < len(rows) else None), None
+    for j, text in enumerate(second if dated else ()):
+        try:
+            second[j] = datetime.date.fromisoformat(text)
+        except ValueError as exc:
+            bad, error, cause = j, f"bad date {text!r}", exc
+            break
+    if error is not None:
+        number = [i for i, line in enumerate(lines, start=1) if line and line[0] != "#"][bad]
+        raise ParseError(f"{path}:{number}: {error}") from cause
+    return first, second

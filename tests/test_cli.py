@@ -63,6 +63,20 @@ class TestSimulate:
              "--export-graph", "--out", tmp_path])
         lines = (tmp_path / "graph.edgelist").read_text().strip().splitlines()
         assert len(lines) == 12 + 10
+        assert "seed_labels" not in read_manifest(tmp_path)["params"]  # ids are the labels
+
+    def test_export_graph_names_file_seed_nodes(self, tmp_path):
+        seed = tmp_path / "seed.edgelist"
+        seed.write_text("paperB paperA\npaperC paperA\npaperC paperB\npaperA paperC\n")
+        out = tmp_path / "out"
+        assert run(["simulate", seed, "--m", 2, "--m-hat", 1, "--steps", 5,
+                    "--export-graph", "--out", out]) == 0
+        labels = read_manifest(out)["params"]["seed_labels"]
+        assert labels == ["paperB", "paperA", "paperC"]
+        edges = [line.split() for line in (out / "graph.edgelist").read_text().splitlines()]
+        named = [(labels[int(u)], labels[int(v)]) for u, v in edges[:4]]
+        assert named == [("paperB", "paperA"), ("paperC", "paperA"), ("paperC", "paperB"),
+                         ("paperA", "paperC")]
 
     def test_invalid_alpha_exits_1(self, tmp_path, capsys):
         code = run(["simulate", "complete:4", "--alpha", 1.5, "--out", tmp_path])

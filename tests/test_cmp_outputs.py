@@ -13,6 +13,7 @@ ESTIMATE = ["em_trace.csv", "estimate.json", "manifest.json", "trace.csv"]
 OUTPUTS = {
     **{f"simulate-{a}": ["graph.edgelist", "manifest.json", "samplelog.csv"]
        for a in ("0", "0.6", "1")},
+    "simulate-seedfile": ["manifest.json", "samplelog.csv"],
     **{f"{call}-{a}": ESTIMATE for call in ("estimate", "snapshot") for a in ("0", "0.6", "1")},
     "dist": ["empirical.csv", "manifest.json", "theory.csv"],
     "cite": ["ccdf.csv", "estimates.json", "manifest.json", "replay_manifest.json",

@@ -1,5 +1,6 @@
 """Unit tests for the growth model and sample log."""
 
+import datetime
 import hashlib
 import math
 import os
@@ -32,13 +33,20 @@ from mixnet.netmodel import (
     StructuralError,
     _Draws,
     _grow,
+    _is_space,
+    _read_pairs,
     _repeat_rank,
     _set_order,
     read_seed_spec,
     write_edge_list,
 )
 
-from conftest import reference_grow, reference_to_csv, reference_write_edge_list
+from conftest import (
+    reference_grow,
+    reference_read_pairs,
+    reference_to_csv,
+    reference_write_edge_list,
+)
 
 
 class TestAttachmentProbability:
@@ -820,6 +828,88 @@ class TestEdgeListIO:
                 except ValueError as exc:
                     outcomes.append(("error", str(exc)))
         assert outcomes[0] == outcomes[1]
+
+
+#: every code point that str.isspace accepts (none lies above U+3000, as
+#: test_space_table_is_str_isspace shows), less the two that end lines
+SEPARATORS = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\r\n"]
+
+
+@st.composite
+def pair_files(draw):
+    """(text, dated) of a pair file: ids with NUL, '#', non-ASCII and astral
+    characters, 1 to 23 characters long (so 1 to 10 key words) and often
+    prefixes of one another; every separator; comments, blanks and bad lines."""
+    chars = st.sampled_from(["a", "b", "z", "0", "9", "\x00", "#", "-", "\x7f", "é", "ÿ",
+                             "Ā", "中", "\uffff", "𝔘", "\U0010fffd"])
+    pool = draw(st.lists(st.text(chars, min_size=1, max_size=23), min_size=1, max_size=6))
+    pool += [p[:draw(st.integers(1, len(p)))] for p in pool]
+    dated = draw(st.booleans())
+    if dated:
+        second = st.sampled_from(["2000-01-01", "1999-12-31", "20000102"] * 6
+                                 + ["2000-02-30", "not-a-date", "2000-01-01x"])
+    else:
+        second = st.sampled_from(pool)
+    space = st.text(st.sampled_from(SEPARATORS), min_size=1, max_size=3)
+    pad = st.text(st.sampled_from(SEPARATORS), max_size=2)
+    pair = st.tuples(pad, st.sampled_from(pool), space, second, pad).map("".join)
+    comment = st.tuples(pad, st.sampled_from(["#", "# x y", "#a b"]), pad).map("".join)
+    skipped = st.one_of(pad, comment)
+    lines = [draw(st.one_of(pair, pair, pair, skipped)) for _ in range(draw(st.integers(0, 40)))]
+    wrong = st.one_of(st.tuples(st.sampled_from(pool), pad).map("".join), st.tuples(
+        st.sampled_from(pool), space, second, space, st.sampled_from(pool)).map("".join))
+    for _ in range(draw(st.sampled_from([0] * 7 + [1, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(wrong))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(a + b for a, b in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, dated
+
+
+def _read_outcome(read, path, dated):
+    try:
+        return read(path, "x y", dated), None
+    except ParseError as exc:
+        cause = exc.__cause__
+        return None, (str(exc), cause and (type(cause), str(cause)))
+
+
+class TestPairReader:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=pair_files())
+    @example(corpus=("a b\na\x00 a\nab\x00 a\x00\n", False))
+    @example(corpus=("p 2000-01-01\r\n#c\r\nq 2000-02-30\r\nr s t\r\n", True))
+    @example(corpus=("p 2000-01-01\n\nr s t\nq 2000-02-30\n", True))
+    def test_matches_whole_file_reader(self, corpus):
+        text, dated = corpus
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "pairs.txt")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            expected, error = _read_outcome(reference_read_pairs, path, dated)
+            got, new_error = _read_outcome(_read_pairs, path, dated)
+        assert new_error == error
+        if error:
+            return
+        labels, codes = got
+        assert codes.dtype == np.int64 and codes.shape == (2, len(expected[0]))
+        first = [labels[c] for c in codes[0].tolist()]
+        if dated:
+            second = list(map(datetime.date.fromordinal, codes[1].tolist()))
+            assert labels == sorted(set(expected[0]))
+        else:
+            second = [labels[c] for c in codes[1].tolist()]
+            assert labels == sorted(set(expected[0]) | set(expected[1]))
+        assert (first, second) == expected
+
+    def test_space_table_is_str_isspace(self):
+        everything = np.arange(0x110000, dtype=np.uint32)
+        expected = np.array([chr(c).isspace() for c in range(0x110000)])
+        assert np.array_equal(_is_space(everything), expected)
+        ascii_ = np.arange(128, dtype=np.uint8)
+        assert np.array_equal(_is_space(ascii_), expected[:128])
 
 
 def reference_read_seed_spec(path) -> SeedSpec:

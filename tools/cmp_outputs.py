@@ -9,6 +9,8 @@ side's own directory under a temporary one:
 
 - ``simulate complete:3 --m 5 --m-hat 3 --rng-seed 1 --export-graph`` at
   alpha 0, 0.6 and 1;
+- ``simulate`` at alpha 0.6 from a seed edge-list file with comments, CRLF
+  line ends and a non-ASCII label (``SEED_FILE``), without a graph export;
 - ``estimate --method both --trace --stride 500`` on each of those logs;
 - ``estimate --trace --snapshot-mode`` on each of those logs;
 - ``dist --m 5 --m-hat 3 --alpha 0.6 --k-max 45 --ensemble 3 --workers 2``;
@@ -34,19 +36,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ALPHAS = ("0", "0.6", "1")
+#: a seed edge list in the citation files' grammar, written with these bytes
+SEED_FILE = ("# seed: src dst\r\n\r\npaperB paperA\r\n  # indented comment\r\n"
+             "paperC\tpaperA\r\npaperC paperB\r\nPapier\u00c4 paperC\r\n"
+             "paperA Papier\u00c4\r\npaperA paperB\r\n")
 
 
 class CallFailed(Exception):
     """A call exited non-zero, so there is nothing to compare."""
 
 
-def calls(steps: int, cite_argv: list) -> list:
+def calls(steps: int, cite_argv: list, seed_path: str) -> list:
     """(output directory, mixnet argv) of each call, in run order."""
     out = []
     for alpha in ALPHAS:
         out.append((f"simulate-{alpha}", [
             "simulate", "complete:3", "--m", "5", "--m-hat", "3", "--alpha", alpha,
             "--steps", str(steps), "--rng-seed", "1", "--export-graph"]))
+    out.append(("simulate-seedfile", [
+        "simulate", seed_path, "--m", "5", "--m-hat", "3", "--alpha", "0.6",
+        "--steps", str(steps), "--rng-seed", "1"]))
     for alpha in ALPHAS:
         log = os.path.join(f"simulate-{alpha}", "samplelog.csv")
         out.append((f"estimate-{alpha}", [
@@ -101,11 +110,13 @@ def main(argv=None) -> int:
         import inputs  # mixnet-free generator of the benchmark's citation pair
 
         pair = inputs.citation_data(0, 10000, data / "edges.txt", data / "dates.txt")
+        seed = data / "seed.edgelist"
+        seed.write_bytes(SEED_FILE.encode("utf-8"))
         cite_argv = ["cite", str(data / "edges.txt"), str(data / "dates.txt"),
                      "--cutoff", pair.cutoff, "--m", "12", "--m-hat", "0"]
         try:
             differ = False
-            for name, call in calls(args.steps, cite_argv):
+            for name, call in calls(args.steps, cite_argv, str(seed)):
                 dirs = {side: work / side for side in sides}
                 stdout = {}
                 for side, src in sides.items():
