@@ -5,12 +5,16 @@ Each logged record (k, e_prev, n_prev) contributes a linear-in-alpha factor
 likelihood is a polynomial in alpha whose roots are ``e/(e - k*n)``.  A
 positive root is at least 1, since 0 < e - k*n <= e, and a negative root is
 below 0, so (0, 1) lies inside the roots' bracket, where the log-likelihood
-is strictly concave.  Every estimate bisects the sign of the analytic
-derivative over (0, 1) shrunk by ``INTERIOR_MARGIN``: k = 0 records put a
-root at 1, where such a factor is 0.
+is strictly concave.  Every estimate is the bisection of the sign of the
+analytic derivative F over (0, 1) shrunk by ``INTERIOR_MARGIN``: k = 0
+records put a root at 1, where such a factor is 0.
 
-One lockstep solver (``_maximize``, a row per solve) serves the MLE and
-both traces.  The bracket (``root_bracket``, one O(N) pass) is a report:
+One solver (``_maximize``, a row per solve) serves the MLE and both traces.
+It replays that bisection, evaluating F only where its sign is open: IEEE
+operations are monotone and numpy sums a row shape in a fixed tree, so the
+float F never increases, and F > 0 (F < 0) at a point fixes the sign below
+(above) it.  A warm-started Newton and probes beside its root find such
+points.  The bracket (``root_bracket``, one O(N) pass) is a report:
 ``MleReport.bracket`` and Theorem 1's conditions.  ``root_profile``, the
 exact ``Fraction`` merge of the roots, is a diagnostic and test oracle.
 """
@@ -29,10 +33,13 @@ from .netmodel import AttachmentRecord, SampleLog
 INTERIOR_MARGIN = 1e-9
 #: bisection stops when the interval is narrower than this
 BISECTION_WIDTH = 1e-10
+#: Newton stops after this many steps or at a step this small; the probes
+#: then test F's sign this far either side of its root, widening on a miss
+NEWTON_STEPS, NEWTON_TOLERANCE, PROBE_WIDTHS = 60, 1e-5, (4e-12, 1e-10, 1e-8)
 
 
 class EvaluationError(ValueError):
-    """A likelihood factor is non-positive at the requested alpha."""
+    """A likelihood factor is non-positive or non-finite at the requested alpha."""
 
     def __init__(self, message: str, record_index: int | None = None):
         super().__init__(message)
@@ -59,15 +66,18 @@ def log_likelihood(log: SampleLog, alpha: float) -> float:
 
 
 def _sum_log_factors(log: SampleLog, factors: np.ndarray, alpha: float) -> float:
-    """Sum of log factors; a non-positive factor raises EvaluationError."""
-    if (factors <= 0).any():
-        i = int(np.argmax(factors <= 0))
+    """Sum of log factors; a non-positive or non-finite factor raises EvaluationError."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = float(np.log(factors).sum())
+    if not math.isfinite(total):  # the log of a bad factor is -inf, inf or nan
+        i = int(np.argmax((factors <= 0) | ~np.isfinite(factors)))
         raise EvaluationError(
-            f"non-positive likelihood factor at alpha={alpha} for record "
-            f"{i} (k={log.k[i]}, e_prev={log.e_prev[i]}, n_prev={log.n_prev[i]})",
+            f"{'non-positive' if factors[i] <= 0 else 'non-finite'} likelihood factor at "
+            f"alpha={alpha} for record {i} (k={log.k[i]}, e_prev={log.e_prev[i]}, "
+            f"n_prev={log.n_prev[i]})",
             record_index=i,
         )
-    return float(np.log(factors).sum())
+    return total
 
 
 def snapshot_log_likelihood(records: list[AttachmentRecord], alpha: float) -> float:
@@ -157,14 +167,11 @@ def root_bracket(log: SampleLog) -> RootBracket:
     if len(log) == 0:
         raise ValueError("root bracket of an empty log")
     den = log.e_prev - log.k * log.n_prev
-    root = log.e_prev / np.where(den == 0, 1, den)
-    negative, positive = root[den < 0], root[den > 0]
-    return RootBracket(
-        max_negative=float(negative.max(initial=-np.inf)),
-        min_positive=float(positive.min(initial=np.inf)),
-        positive_multiplicity_sum=len(positive),
-        degree=len(negative) + len(positive),
-    )
+    with np.errstate(divide="ignore"):  # e/0: a record without a root of that sign
+        max_negative = float((-log.e_prev / np.maximum(-den, 0)).max())
+        min_positive = float((log.e_prev / np.maximum(den, 0)).min())
+    n_negative, n_positive = int(np.count_nonzero(den < 0)), int(np.count_nonzero(den > 0))
+    return RootBracket(max_negative, min_positive, n_positive, n_negative + n_positive)
 
 
 def check_theorem1(profile: RootProfile | RootBracket) -> tuple[bool, str]:
@@ -201,50 +208,112 @@ class MleReport:
 
 
 def _derivative(d: np.ndarray, c: np.ndarray, alpha, out: np.ndarray | None = None):
-    """Score sum(d / (d*alpha + c)) over the last axis; alpha is a float or a column."""
+    """Score sum(q), q = d / (d*alpha + c), over the last axis, leaving q in ``out``.
+
+    alpha is a float or a column; for one row shape the score never increases in it.
+    """
     out = np.multiply(d, alpha, out=out)
     out += c
     np.divide(d, out, out=out)
     return out.sum(axis=-1)
 
 
-def _maximize(d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Each row's maximizer over (0, 1) shrunk by the interior margin.
+def _scorer(d: np.ndarray, c: np.ndarray, out: np.ndarray):
+    """score(rows, x): F at x of the given rows, all of them in place, a subset copied."""
+    def score(rows, x):
+        rows_d, rows_c = (d, c) if len(rows) == len(d) else (d[rows], c[rows])
+        return _derivative(rows_d, rows_c, x[:, None], out[:len(rows)])
+    return score
 
-    A row holds one solve's coefficients; by concavity its derivative
-    decreases on the interval.  A row whose derivative has its sign at an
-    end stops there; the others bisect in lockstep, each until its interval
-    is at most ``BISECTION_WIDTH`` wide.  Row sums of a C-contiguous array
-    equal 1-D sums, so a row takes the steps of a solve of its records alone.
+
+def _bracket(score, out: np.ndarray, n: int, guess) -> tuple:
+    """(x, pos, neg) of n rows: Newton's root x of F from ``guess`` (a float
+    or one per row), the last point known to have F > 0 and the first known
+    to have F < 0 (-inf, inf if none).  ``score(rows, x)`` leaves q in ``out``.
     """
     lo, hi = INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN
-    out = np.empty_like(d)
-    at_lo = _derivative(d, c, lo, out) <= 0
-    at_hi = _derivative(d, c, hi, out) >= 0
+    pos, neg = np.full(n, -np.inf), np.full(n, np.inf)
+
+    def signed(rows, x):
+        f = score(rows, x)
+        pos[rows[f > 0]], neg[rows[f < 0]] = x[f > 0], x[f < 0]
+        return f
+
+    x, rows = np.clip(np.broadcast_to(guess, n), lo, hi), np.arange(n)
+    for _ in range(NEWTON_STEPS):
+        g, f = x[rows], signed(rows, x[rows])
+        a, b = pos[rows], neg[rows]
+        live = (a < hi) & (b > lo)  # not known to stop at an end
+        if not live.any():
+            break
+        q, low, high = out[:len(rows)], np.maximum(a, lo), np.minimum(b, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):  # F' = -sum(q**2)
+            step = np.clip(g + f / np.multiply(q, q, out=q).sum(axis=-1), low, high)
+        # a step out of the interval tests that end; one onto a known sign bisects
+        x[rows] = step = np.where((a < step) & (step < b), step, 0.5 * (low + high))
+        rows = rows[live & (np.abs(step - g) > NEWTON_TOLERANCE)]
+        if not len(rows):
+            break
+    for width in PROBE_WIDTHS if ((pos < hi) & (neg > lo)).any() else ():
+        for probe in (np.maximum(x - width, lo), np.minimum(x + width, hi)):
+            rows = np.flatnonzero((pos < probe) & (probe < neg))
+            if len(rows):
+                signed(rows, probe[rows])
+    return x, pos, neg
+
+
+def _bisect(pos: np.ndarray, neg: np.ndarray, score) -> np.ndarray:
+    """Each row's bisection of F, given F > 0 at ``pos`` and F < 0 at ``neg``:
+    end checks (F(lo) <= 0 gives lo, else F(hi) >= 0 gives hi), then halving
+    in lockstep to ``BISECTION_WIDTH``, up where F(mid) > 0.  ``score(rows,
+    x)`` is asked for F only strictly between pos and neg.
+    """
+    lo, hi = INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN
+    at_lo, at_hi = neg <= lo, pos >= hi
+    for at, end in ((at_lo, lo), (at_hi, hi)):
+        rows = np.flatnonzero((pos < end) & (end < neg))
+        if len(rows):
+            f = score(rows, np.full(len(rows), end))
+            at[rows] = f <= 0 if end == lo else f >= 0
     alpha = np.where(at_lo, lo, hi)
     rows = np.flatnonzero(~(at_lo | at_hi))
-    if len(rows) < len(d):
-        d, c = d[rows], c[rows]
-    left, right = np.full(len(rows), lo), np.full(len(rows), hi)
+    a, b, left, right = pos[rows], neg[rows], np.full(len(rows), lo), np.full(len(rows), hi)
     while len(rows):
         mid = 0.5 * (left + right)
-        up = _derivative(d, c, mid[:, None], out[:len(rows)]) > 0
+        up = mid <= a
+        if np.count_nonzero(up) + np.count_nonzero(mid >= b) < len(rows):
+            open_ = (a < mid) & (mid < b)
+            up[open_] = score(rows[open_], mid[open_]) > 0
         left, right = np.where(up, mid, left), np.where(up, right, mid)
         done = right - left <= BISECTION_WIDTH
-        if done.any():
+        if np.count_nonzero(done):
             alpha[rows[done]] = 0.5 * (left[done] + right[done])
-            rows, d, c, left, right = (a[~done] for a in (rows, d, c, left, right))
+            rows, a, b, left, right = (v[~done] for v in (rows, a, b, left, right))
     return alpha
 
 
-def mle_estimate(log: SampleLog) -> MleReport:
-    """Maximize the log-likelihood over (0, 1) shrunk by the interior margin."""
+def _maximize(d: np.ndarray, c: np.ndarray, guess=0.5) -> np.ndarray:
+    """Each row's maximizer over (0, 1) shrunk by the interior margin.
+
+    A row holds one solve's coefficients; row sums of a C-contiguous array
+    equal 1-D sums, so a row takes the steps of a solve of its records alone.
+    """
+    out = np.empty_like(d)
+    score = _scorer(d, c, out)
+    return _bisect(*_bracket(score, out, len(d), guess)[1:], score)
+
+
+def mle_estimate(log: SampleLog, coefficients=None) -> MleReport:
+    """Maximize the log-likelihood over (0, 1) shrunk by the interior margin.
+
+    ``coefficients``, if given, are the log's (d, c) from ``_slope_intercept``.
+    """
     if len(log) == 0:
         raise ValueError("cannot estimate from an empty log")
     bracket = root_bracket(log)
     if bracket.degree == 0:
         raise NoInformationError("all records are degenerate; likelihood is flat in alpha")
-    d, c = _slope_intercept(log)
+    d, c = _slope_intercept(log) if coefficients is None else coefficients
     alpha_hat = float(_maximize(d[None], c[None])[0])
     satisfied, _ = check_theorem1(bracket)
     return MleReport(
@@ -256,23 +325,38 @@ def mle_estimate(log: SampleLog) -> MleReport:
     )
 
 
-def prefix_estimates(log: SampleLog, steps) -> list[float]:
+def prefix_estimates(log: SampleLog, steps, coefficients=None, alpha_hat=None) -> list[float]:
     """``mle_estimate(log.prefix(t)).alpha_hat`` for each t in ``steps``.
 
-    Coefficients are computed once; each prefix is a one-row batch over a
-    view of them, informative from the first record with e != k*n on.
+    Each prefix is a view of one set of coefficients (``coefficients`` if
+    given), informative from the first record with e != k*n on.  Newton
+    starts at the previous prefix's root, and one lockstep ``_bisect``
+    replays all the solves.  ``alpha_hat``, the whole log's estimate if
+    known, is the first start and the result for the whole log.
     """
-    d, c = _slope_intercept(log)
+    d, c = _slope_intercept(log) if coefficients is None else coefficients
     informative = np.flatnonzero(log.e_prev != log.k * log.n_prev)
     first = informative[0] if len(informative) else len(log)
-    estimates = []
-    for stop in np.searchsorted(log.step, steps, side="right").tolist():
+    stops = np.searchsorted(log.step, steps, side="right").tolist()
+    solved, bounds, x = [], [], 0.5 if alpha_hat is None else alpha_hat
+    for stop in stops:
         if stop == 0:
             raise ValueError("cannot estimate from an empty log")
         if stop <= first:
             raise NoInformationError("all records are degenerate; likelihood is flat in alpha")
-        estimates.append(float(_maximize(d[None, :stop], c[None, :stop])[0]))
-    return estimates
+        if stop < len(log) or alpha_hat is None:
+            out = np.empty((1, stop))
+            x, pos, neg = _bracket(_scorer(d[None, :stop], c[None, :stop], out), out, 1, x)
+            solved.append(stop)
+            bounds.append((pos[0], neg[0]))
+    pos, neg = np.array(bounds).reshape(-1, 2).T
+
+    def score(rows, at):
+        return np.array([_derivative(d[None, :solved[i]], c[None, :solved[i]], v)[0]
+                         for i, v in zip(rows.tolist(), at.tolist())])
+
+    alpha = dict(zip(solved, _bisect(pos, neg, score).tolist()))
+    return [alpha.get(stop, alpha_hat) for stop in stops]
 
 
 def step_estimates(log: SampleLog) -> list[tuple[int, float]]:

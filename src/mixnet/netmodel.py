@@ -648,7 +648,9 @@ class SampleLog:
                 raise ValueError("record with k > e_prev in sample log")
             # the root denominators e - k*n and the float roots e/(e - k*n)
             # are exact only while e*n (hence k*n) stays below 2**53
-            if (self.e_prev > (2**53 - 1) // self.n_prev).any():
+            # (the product of the maxima bounds every product; test it first)
+            if (int(self.e_prev.max()) * int(self.n_prev.max()) > 2**53 - 1
+                    and (self.e_prev > (2**53 - 1) // self.n_prev).any()):
                 raise ValueError("record counts out of range: e_prev * n_prev must be below 2**53")
             if (np.diff(self.step) < 0).any():
                 raise ValueError("sample log records not in step order")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mixnet import GrowingNetwork, ModelParams, SampleLog, SeedSpec, grow_sequence, make_rng
+from mixnet.likelihood import BISECTION_WIDTH, INTERIOR_MARGIN, _derivative
 from mixnet.netmodel import _CSV_CHUNK, _CSV_HEADER, ParseError, StructuralError
 
 
@@ -227,3 +228,27 @@ def reference_read_pairs(path, expected: str, dated: bool = False) -> tuple[list
         number = [i for i, line in enumerate(lines, start=1) if line and line[0] != "#"][bad]
         raise ParseError(f"{path}:{number}: {error}") from cause
     return first, second
+
+
+def reference_lockstep_maximize(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``likelihood._maximize`` before its warm start: every row bisects from
+    the interval's ends, one score pass per step.  Kept verbatim as the
+    differential oracle of the warm-started solver."""
+    lo, hi = INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN
+    out = np.empty_like(d)
+    at_lo = _derivative(d, c, lo, out) <= 0
+    at_hi = _derivative(d, c, hi, out) >= 0
+    alpha = np.where(at_lo, lo, hi)
+    rows = np.flatnonzero(~(at_lo | at_hi))
+    if len(rows) < len(d):
+        d, c = d[rows], c[rows]
+    left, right = np.full(len(rows), lo), np.full(len(rows), hi)
+    while len(rows):
+        mid = 0.5 * (left + right)
+        up = _derivative(d, c, mid[:, None], out[:len(rows)]) > 0
+        left, right = np.where(up, mid, left), np.where(up, right, mid)
+        done = right - left <= BISECTION_WIDTH
+        if done.any():
+            alpha[rows[done]] = 0.5 * (left[done] + right[done])
+            rows, d, c, left, right = (a[~done] for a in (rows, d, c, left, right))
+    return alpha

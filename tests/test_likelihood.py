@@ -34,14 +34,22 @@ from mixnet.likelihood import (
     NoInformationError,
     RootBracket,
     _derivative,
+    _maximize,
     _slope_intercept,
+    _sum_log_factors,
 )
 
-from conftest import random_log
+from conftest import random_log, reference_lockstep_maximize
 
 
 def single_record_log(k, e, n):
     return SampleLog(np.array([k]), np.array([e]), np.array([n]), np.array([1]))
+
+
+def two_record_log(first, second):
+    """One step of two (k, e_prev, n_prev) records."""
+    k, e, n = map(np.array, zip(first, second))
+    return SampleLog(k, e, n, np.array([1, 1]))
 
 
 class TestLogLikelihood:
@@ -75,6 +83,19 @@ class TestLogLikelihood:
         with pytest.raises(EvaluationError) as exc:
             log_likelihood(log, 3.0)
         assert exc.value.record_index == 0
+
+    @pytest.mark.parametrize("factors, index, kind", [
+        ([0.5, np.nan, 0.2], 1, "non-finite"),
+        ([0.5, 0.2, np.inf], 2, "non-finite"),
+        ([0.5, np.inf, -1.0], 1, "non-finite"),
+        ([0.5, 0.0, np.nan], 1, "non-positive"),
+    ])
+    def test_bad_factor_raises_with_index(self, factors, index, kind):
+        log = SampleLog(np.ones(3, int), np.full(3, 6), np.full(3, 3), np.arange(1, 4))
+        with pytest.raises(EvaluationError, match=f"^{kind} likelihood factor at alpha=0.3 "
+                                                  f"for record {index} ") as exc:
+            _sum_log_factors(log, np.array(factors), 0.3)
+        assert exc.value.record_index == index
 
     def test_snapshot_wrapper(self):
         records = [AttachmentRecord(3, 8, 4)]
@@ -559,6 +580,83 @@ class TestLockstepSolver:
         bracket = root_bracket(SampleLog(k, e, n, np.arange(1, len(k) + 1)))
         assert bracket.min_positive >= 1.0
         assert bracket.max_negative < 0.0
+
+
+@st.composite
+def pool_logs(draw):
+    """Small-pool logs: duplicate roots, degenerate and k = 0 records."""
+    return random_log(random.Random(draw(st.integers(0, 2**32 - 1))), max_records=40,
+                      pool_bias=True, require_positive_k=draw(st.booleans()))
+
+
+def solver_logs():
+    return st.one_of(model_logs(), cite_style_logs(), pool_logs())
+
+
+class TestWarmStartSolver:
+    @settings(max_examples=150, deadline=None)
+    @given(log=solver_logs(), guess=st.floats(0.0, 1.0))
+    @example(log=single_record_log(1, 6, 3), guess=0.5)  # the maximum at lo
+    @example(log=single_record_log(3, 6, 3), guess=0.5)  # the maximum at hi
+    @example(log=two_record_log((1, 2, 4), (1, 30_000_001, 20_000_000)), guess=0.5)  # 1 - 1e-7
+    @example(log=two_record_log((1, 2, 4), (1, 10_000_000, 1)), guess=0.5)  # 5e-8
+    @example(log=one_step_log(10**5), guess=INTERIOR_MARGIN)
+    @example(log=cite_style_log(1, 3, 300, 1.0, 0.0), guess=1.0)  # k = 0 records only
+    @example(log=degenerate_steps_log(), guess=0.0)
+    def test_matches_lockstep_oracle(self, log, guess):
+        # bit for bit, from the ends, from the cold start and from anywhere
+        if len(log) == 0:
+            return
+        d, c = _slope_intercept(log)
+        expected = reference_lockstep_maximize(d[None], c[None]).tolist()
+        for start in (INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN, 0.5, guess):
+            assert _maximize(d[None], c[None], start).tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(log=cite_style_logs(), seed=st.integers(0, 2**32 - 1))
+    def test_batches_match_lockstep_oracle(self, log, seed):
+        # rows of one width, as step_estimates batches them, with a guess each
+        d, c = _slope_intercept(log)
+        starts = np.flatnonzero(np.diff(log.step, prepend=0))
+        widths = np.diff(starts, append=len(log))
+        guesses = np.random.default_rng(seed).random(len(starts))
+        for width in np.unique(widths).tolist():
+            group = np.flatnonzero(widths == width)
+            rows = starts[group, None] + np.arange(width)
+            expected = reference_lockstep_maximize(d[rows], c[rows]).tolist()
+            assert _maximize(d[rows], c[rows], guesses[group]).tolist() == expected
+            assert _maximize(d[rows], c[rows]).tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(log=solver_logs(), x=st.floats(INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN),
+           y=st.floats(INTERIOR_MARGIN, 1.0 - INTERIOR_MARGIN))
+    @example(log=cite_style_log(1, 3, 300, 0.3, 0.5), x=0.25, y=1.0 - INTERIOR_MARGIN)
+    def test_score_never_increases(self, log, x, y):
+        # the replay skips evaluations on this property of the float score
+        # on one row shape: at two points, and at 32 neighbouring floats
+        if len(log) == 0:
+            return
+        d, c = _slope_intercept(log)
+        a, b = sorted((x, y))
+        assert _derivative(d[None], c[None], a)[0] >= _derivative(d[None], c[None], b)[0]
+        ulps = [a]
+        for _ in range(32):
+            ulps.append(float(np.nextafter(ulps[-1], 1.0)))
+        scores = _derivative(np.tile(d, (len(ulps), 1)), np.tile(c, (len(ulps), 1)),
+                             np.array(ulps)[:, None])
+        assert (np.diff(scores) <= 0).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(log=st.one_of(model_logs(), cite_style_logs()), stride=st.integers(1, 7))
+    def test_prefix_trace_with_the_mle_given(self, log, stride):
+        # the whole log's coefficients and estimate, as estimate --trace passes them
+        steps = range(stride, log.n_steps + 1, stride)
+        try:
+            alpha_hat = mle_estimate(log).alpha_hat
+        except ValueError:
+            return
+        expected = outcome(reference_prefix_estimates, log, steps)
+        assert outcome(prefix_estimates, log, steps, _slope_intercept(log), alpha_hat) == expected
 
 
 def mpmath_argmax(log):

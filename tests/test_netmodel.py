@@ -685,6 +685,24 @@ class TestSampleLog:
             SampleLog(np.array([1]), np.array([2**27]), np.array([2**26]), np.array([1]))
         SampleLog(np.array([1]), np.array([2**27 - 1]), np.array([2**26]), np.array([1]))
 
+    @pytest.mark.parametrize("e_prev, n_prev, ok", [
+        ([2**53 - 1, 1], [1, 1], True),
+        ([2**27, 1], [1, 2**26], True),  # the maxima sit on different records
+        ([2**27, 1, 2**27], [1, 2**26, 2**26], False),
+        ([2**26, 3], [2**27, 1], False),
+    ])
+    def test_count_bound_is_per_record(self, e_prev, n_prev, ok):
+        # the product of the maxima screens the bound; past it, each record counts
+        args = (np.zeros(len(e_prev), int), np.array(e_prev), np.array(n_prev),
+                np.arange(1, len(e_prev) + 1))
+        if ok:
+            SampleLog(*args)
+            with pytest.raises(ValueError, match="step order"):  # a later check still runs
+                SampleLog(*args[:3], args[3][::-1])
+        else:
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                SampleLog(*args)
+
     def test_from_steps(self):
         log = SampleLog.from_steps([
             [AttachmentRecord(1, 6, 3)], [AttachmentRecord(0, 8, 4)],

@@ -13,6 +13,8 @@ side's own directory under a temporary one:
   line ends and a non-ASCII label (``SEED_FILE``), without a graph export;
 - ``estimate --method both --trace --stride 500`` on each of those logs;
 - ``estimate --trace --snapshot-mode`` on each of those logs;
+- ``estimate --method mle --trace --stride 100`` on the alpha 0.6 log, the
+  longest chain of warm-started prefix solves;
 - ``dist --m 5 --m-hat 3 --alpha 0.6 --k-max 45 --ensemble 3 --workers 2``;
 - ``cite`` on the seed-0 pair of ``perfbench/inputs.py`` (10,000 papers).
 
@@ -61,6 +63,8 @@ def calls(steps: int, cite_argv: list, seed_path: str) -> list:
         out.append((f"estimate-{alpha}", [
             "estimate", log, "--method", "both", "--trace", "--stride", "500"]))
         out.append((f"snapshot-{alpha}", ["estimate", log, "--trace", "--snapshot-mode"]))
+    out.append(("trace-0.6", ["estimate", os.path.join("simulate-0.6", "samplelog.csv"),
+                              "--method", "mle", "--trace", "--stride", "100"]))
     out.append(("dist", ["dist", "--m", "5", "--m-hat", "3", "--alpha", "0.6", "--k-max", "45",
                          "--ensemble", "3", "--workers", "2", "--steps", str(steps)]))
     out.append(("cite", cite_argv))

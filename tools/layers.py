@@ -1,0 +1,205 @@
+"""Time mixnet's estimator layers from one or two source trees.
+
+    python tools/layers.py BASE_SRC [CHANGE_SRC] [--reps N] [--layers A,B,...]
+                           [--steps N] [--papers N]
+
+BASE_SRC and CHANGE_SRC are ``src`` directories (each holding ``mixnet``).
+Each layer runs ``--reps`` times per side, every time in a fresh interpreter
+with ``PYTHONPATH`` set to that side's tree; the sides alternate, and so does
+which of them goes first.  A run builds its input untimed, calls the layer
+once to warm up, times one call, and then makes one more call with
+``likelihood._derivative`` wrapped to count the rows it evaluates.
+
+The layers (FIG3 means m=5, m_hat=3, a complete 3-node seed, ``--steps``
+growth steps, default 20000, and ``make_rng(1)``):
+
+- ``mle-A``: ``mle_estimate`` on the FIG3 log grown at alpha A (0, 0.6, 1);
+- ``solve-0.6``: the MLE's solve alone, ``likelihood._maximize`` on that log;
+- ``prefix-S-A``: ``prefix_estimates`` at stride S on that log;
+- ``step-0.6``: ``step_estimates``;
+- ``cite-mle``: ``mle_estimate`` on the ``cite`` log of the seed-0 pair of
+  ``perfbench/inputs.py`` (``--papers`` papers, default 10000);
+- ``trace`` and ``snapshot``: ``mixnet.cli.main`` on ``estimate <log>
+  --trace`` (stride 100) and on ``estimate <log> --trace --snapshot-mode``,
+  with the alpha 0.6 log written as CSV.
+
+It prints one JSON object: for each layer and side the median and quartiles
+of the timed call in seconds, the sha256 of the layer's result (its reprs,
+or the bytes of the files ``main`` wrote), the ``_derivative`` row passes per
+solve, and whether both sides' results are equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import datetime
+import hashlib
+import io
+import itertools
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ("mle-0", "mle-0.6", "mle-1", "solve-0.6", "prefix-100-0", "prefix-100-0.6",
+          "prefix-100-1", "prefix-5000-0.6", "step-0.6", "cite-mle", "trace", "snapshot")
+
+
+def fig3_log(alpha: float, steps: int):
+    from mixnet import ModelParams, SeedSpec, grow_sequence, make_rng
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the K3 seed has fewer nodes than m
+        _, log = grow_sequence(SeedSpec.complete(3), ModelParams(5, 3, alpha), steps,
+                               make_rng(1))
+    return log
+
+
+def cite_log(papers: int, work: Path):
+    from mixnet.ingest import build_replay, load_dataset, replay_to_samplelog
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import inputs  # mixnet-free generator of the benchmark's citation pair
+
+    pair = inputs.citation_data(0, papers, work / "edges.txt", work / "dates.txt")
+    cutoff = datetime.date.fromisoformat(pair.cutoff)
+    return replay_to_samplelog(build_replay(load_dataset(work / "edges.txt",
+                                                         work / "dates.txt"), cutoff)).sample_log
+
+
+def prepare(layer: str, steps: int, papers: int, work: Path):
+    """(call, solves): the timed callable and the number of solves a result holds."""
+    from mixnet import likelihood
+    from mixnet.cli import main
+
+    kind, *rest = layer.split("-")
+    if kind == "mle":
+        log = fig3_log(float(rest[0]), steps)
+        return lambda: [likelihood.mle_estimate(log).to_dict()], len
+    if kind == "solve":
+        d, c = likelihood._slope_intercept(fig3_log(float(rest[0]), steps))
+        return lambda: likelihood._maximize(d[None], c[None]).tolist(), len
+    if kind == "prefix":
+        log, stride = fig3_log(float(rest[1]), steps), int(rest[0])
+        points = range(stride, log.n_steps + 1, stride)
+        return lambda: likelihood.prefix_estimates(log, points), len
+    if kind == "step":
+        log = fig3_log(float(rest[0]), steps)
+        return lambda: likelihood.step_estimates(log), len
+    if kind == "cite":
+        log = cite_log(papers, work)
+        return lambda: [likelihood.mle_estimate(log).to_dict()], len
+    path = work / "samplelog.csv"
+    fig3_log(0.6, steps).to_csv(path)
+    argv = ["estimate", str(path), "--trace"] + (["--snapshot-mode"] if kind == "snapshot" else [])
+    runs = itertools.count()
+
+    def call():
+        out = work / f"out{next(runs)}"
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            main([*argv, "--out", str(out)])
+        files = [(out / name).read_bytes() for name in ("estimate.json", "trace.csv")]
+        return [stdout.getvalue().encode(), *files]
+
+    # the trace's rows plus the full-log MLE
+    return call, lambda result: result[2].count(b"\n")
+
+
+def worker(layer: str, steps: int, papers: int) -> dict:
+    """One timed call of ``layer`` in this interpreter, as a JSON-ready dict."""
+    from mixnet import likelihood
+
+    with tempfile.TemporaryDirectory() as tmp:
+        call, solves = prepare(layer, steps, papers, Path(tmp))
+        call()
+        start = time.perf_counter()
+        result = call()
+        seconds = time.perf_counter() - start
+        derivative, passes = likelihood._derivative, [0]
+
+        def counted(d, c, alpha, out=None):
+            passes[0] += d.shape[0] if d.ndim == 2 else 1
+            return derivative(d, c, alpha, out)
+
+        likelihood._derivative = counted
+        try:
+            call()
+        finally:
+            likelihood._derivative = derivative
+    data = b"".join(x if isinstance(x, bytes) else repr(x).encode() + b"\n" for x in result)
+    return {"seconds": seconds, "sha256": hashlib.sha256(data).hexdigest(),
+            "passes_per_solve": passes[0] / max(solves(result), 1)}
+
+
+def quartiles(xs: list) -> tuple:
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4)
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_src", type=Path)
+    parser.add_argument("change_src", type=Path, nargs="?")
+    parser.add_argument("--reps", type=int, default=5)
+    parser.add_argument("--layers", default=",".join(LAYERS))
+    parser.add_argument("--steps", type=int, default=20000)
+    parser.add_argument("--papers", type=int, default=10000)
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker(args.worker, args.steps, args.papers)))
+        return 0
+    sides = {"base": args.base_src.resolve()}
+    if args.change_src:
+        sides["change"] = args.change_src.resolve()
+    for src in sides.values():
+        if not (src / "mixnet" / "__init__.py").is_file():
+            parser.error(f"{src} holds no mixnet package")
+    layers = args.layers.split(",")
+    unknown = sorted(set(layers) - set(LAYERS))
+    if unknown:
+        parser.error(f"unknown layers {unknown}; choose from {', '.join(LAYERS)}")
+
+    runs = {layer: {side: [] for side in sides} for layer in layers}
+    for layer in layers:
+        for rep in range(args.reps):
+            order = list(sides) if rep % 2 == 0 else list(reversed(sides))
+            for side in order:
+                env = {**os.environ, "PYTHONPATH": str(sides[side])}
+                done = subprocess.run(
+                    [sys.executable, __file__, str(sides[side]), "--worker", layer,
+                     "--steps", str(args.steps), "--papers", str(args.papers)],
+                    env=env, capture_output=True, text=True)
+                if done.returncode != 0:
+                    sys.stderr.write(done.stderr)
+                    print(f"layers: {layer} failed on {side}", file=sys.stderr)
+                    return 2
+                runs[layer][side].append(json.loads(done.stdout))
+
+    report = {"sides": {side: str(src) for side, src in sides.items()},
+              "steps": args.steps, "reps": args.reps, "layers": {}}
+    for layer, by_side in runs.items():
+        entry = {}
+        for side, results in by_side.items():
+            q1, median, q3 = quartiles([r["seconds"] for r in results])
+            digests = {r["sha256"] for r in results}
+            entry[side] = {"median_s": median, "q1_s": q1, "q3_s": q3,
+                           "sha256": digests.pop() if len(digests) == 1 else "varies",
+                           "passes_per_solve": results[0]["passes_per_solve"]}
+        entry["same"] = len({entry[side]["sha256"] for side in by_side}) == 1
+        report["layers"][layer] = entry
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
