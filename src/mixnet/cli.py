@@ -23,7 +23,7 @@ from . import __version__
 from .degree_dist import StationaryDistribution, ccdf_from_indegrees
 from .em import EmConfig, em_estimate
 from .ingest import build_replay, load_dataset, replay_to_samplelog
-from .likelihood import _slope_intercept, mle_estimate, prefix_estimates, step_estimates
+from .likelihood import mle_estimate, prefix_estimates, step_estimates
 from .netmodel import (
     ModelParams,
     SampleLog,
@@ -117,12 +117,9 @@ def cmd_estimate(args, run: _Run) -> None:
     sample_log = SampleLog.from_csv(args.log)
     result: dict = {}
 
-    coefficients = _slope_intercept(sample_log)  # shared by the MLE and the prefix trace
-    alpha_hat = None
     if args.method in ("mle", "both"):
         # k=0 records stay in the MLE input: they contribute roots at 1
-        result["mle"] = mle_estimate(sample_log, coefficients).to_dict()
-        alpha_hat = result["mle"]["alpha_hat"]
+        result["mle"] = mle_estimate(sample_log).to_dict()
     if args.method in ("em", "both"):
         trace = em_estimate(sample_log, cfg)
         result["em"] = {
@@ -140,7 +137,7 @@ def cmd_estimate(args, run: _Run) -> None:
             first = int(sample_log.step[0])
             start = -(-first // args.stride) * args.stride
             steps = range(start, sample_log.n_steps + 1, args.stride)
-            rows = list(zip(steps, prefix_estimates(sample_log, steps, coefficients, alpha_hat)))
+            rows = list(zip(steps, prefix_estimates(sample_log, steps)))
 
     if "em" in result:
         run.write_csv("em_trace.csv", ["iter", "alpha", "loglik"],

@@ -208,22 +208,12 @@ class MleReport:
 
 
 def _derivative(d: np.ndarray, c: np.ndarray, alpha, out: np.ndarray | None = None):
-    """Score sum(q), q = d / (d*alpha + c), over the last axis, leaving q in ``out``.
-
-    alpha is a float or a column; for one row shape the score never increases in it.
-    """
+    """Score sum(q), q = d / (d*alpha + c), over the last axis; q is left in ``out``
+    and alpha is a float or a column.  For one row shape it never increases in alpha."""
     out = np.multiply(d, alpha, out=out)
     out += c
     np.divide(d, out, out=out)
     return out.sum(axis=-1)
-
-
-def _scorer(d: np.ndarray, c: np.ndarray, out: np.ndarray):
-    """score(rows, x): F at x of the given rows, all of them in place, a subset copied."""
-    def score(rows, x):
-        rows_d, rows_c = (d, c) if len(rows) == len(d) else (d[rows], c[rows])
-        return _derivative(rows_d, rows_c, x[:, None], out[:len(rows)])
-    return score
 
 
 def _bracket(score, out: np.ndarray, n: int, guess) -> tuple:
@@ -292,28 +282,29 @@ def _bisect(pos: np.ndarray, neg: np.ndarray, score) -> np.ndarray:
     return alpha
 
 
-def _maximize(d: np.ndarray, c: np.ndarray, guess=0.5) -> np.ndarray:
+def _maximize(d: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Each row's maximizer over (0, 1) shrunk by the interior margin.
 
     A row holds one solve's coefficients; row sums of a C-contiguous array
     equal 1-D sums, so a row takes the steps of a solve of its records alone.
     """
     out = np.empty_like(d)
-    score = _scorer(d, c, out)
-    return _bisect(*_bracket(score, out, len(d), guess)[1:], score)
+
+    def score(rows, x):
+        rows_d, rows_c = (d, c) if len(rows) == len(d) else (d[rows], c[rows])
+        return _derivative(rows_d, rows_c, x[:, None], out[:len(rows)])
+
+    return _bisect(*_bracket(score, out, len(d), 0.5)[1:], score)
 
 
-def mle_estimate(log: SampleLog, coefficients=None) -> MleReport:
-    """Maximize the log-likelihood over (0, 1) shrunk by the interior margin.
-
-    ``coefficients``, if given, are the log's (d, c) from ``_slope_intercept``.
-    """
+def mle_estimate(log: SampleLog) -> MleReport:
+    """Maximize the log-likelihood over (0, 1) shrunk by the interior margin."""
     if len(log) == 0:
         raise ValueError("cannot estimate from an empty log")
     bracket = root_bracket(log)
     if bracket.degree == 0:
         raise NoInformationError("all records are degenerate; likelihood is flat in alpha")
-    d, c = _slope_intercept(log) if coefficients is None else coefficients
+    d, c = _slope_intercept(log)
     alpha_hat = float(_maximize(d[None], c[None])[0])
     satisfied, _ = check_theorem1(bracket)
     return MleReport(
@@ -325,38 +316,33 @@ def mle_estimate(log: SampleLog, coefficients=None) -> MleReport:
     )
 
 
-def prefix_estimates(log: SampleLog, steps, coefficients=None, alpha_hat=None) -> list[float]:
+def prefix_estimates(log: SampleLog, steps) -> list[float]:
     """``mle_estimate(log.prefix(t)).alpha_hat`` for each t in ``steps``.
 
-    Each prefix is a view of one set of coefficients (``coefficients`` if
-    given), informative from the first record with e != k*n on.  Newton
-    starts at the previous prefix's root, and one lockstep ``_bisect``
-    replays all the solves.  ``alpha_hat``, the whole log's estimate if
-    known, is the first start and the result for the whole log.
+    Each prefix is a one-row view of one set of coefficients, informative
+    from the first record with e != k*n on.  Newton starts at the previous
+    prefix's root, and one lockstep ``_bisect`` replays all the solves.
     """
-    d, c = _slope_intercept(log) if coefficients is None else coefficients
+    d, c = _slope_intercept(log)
     informative = np.flatnonzero(log.e_prev != log.k * log.n_prev)
     first = informative[0] if len(informative) else len(log)
     stops = np.searchsorted(log.step, steps, side="right").tolist()
-    solved, bounds, x = [], [], 0.5 if alpha_hat is None else alpha_hat
+    bounds, x = [], 0.5
     for stop in stops:
         if stop == 0:
             raise ValueError("cannot estimate from an empty log")
         if stop <= first:
             raise NoInformationError("all records are degenerate; likelihood is flat in alpha")
-        if stop < len(log) or alpha_hat is None:
-            out = np.empty((1, stop))
-            x, pos, neg = _bracket(_scorer(d[None, :stop], c[None, :stop], out), out, 1, x)
-            solved.append(stop)
-            bounds.append((pos[0], neg[0]))
-    pos, neg = np.array(bounds).reshape(-1, 2).T
+        out = np.empty((1, stop))
+        x, pos, neg = _bracket(lambda rows, at: _derivative(d[None, :stop], c[None, :stop],
+                                                            at[:, None], out), out, 1, x)
+        bounds.append((pos[0], neg[0]))
 
     def score(rows, at):
-        return np.array([_derivative(d[None, :solved[i]], c[None, :solved[i]], v)[0]
+        return np.array([_derivative(d[None, :stops[i]], c[None, :stops[i]], v)[0]
                          for i, v in zip(rows.tolist(), at.tolist())])
 
-    alpha = dict(zip(solved, _bisect(pos, neg, score).tolist()))
-    return [alpha.get(stop, alpha_hat) for stop in stops]
+    return _bisect(*np.array(bounds).reshape(-1, 2).T, score).tolist()
 
 
 def step_estimates(log: SampleLog) -> list[tuple[int, float]]:
