@@ -18,10 +18,10 @@ target and source of a window comes from a few array operations, and the
 window is committed up to its first step with a repeat.  That step, and each
 warm-up step of a seed smaller than ``max(m, m_hat)``, is drawn one
 attachment at a time with its redraws, up to a limit.  A step's out-edges
-and response edges are stored in the iteration order of CPython's ``set`` of
-its targets and of its sources, which the window reproduces from the hash
-slots.  So the records, the network and the generator state afterwards are
-those of drawing one attachment at a time.  The in-degree ``k`` of each pick
+and response edges are stored in the order their targets and sources were
+first drawn.  The records, the network and the generator state afterwards
+are those of drawing one attachment at a time, and each step's out-edges in
+the edge list are its records in order.  The in-degree ``k`` of each pick
 is one gather of the entry in-degrees plus its rank among earlier picks, and
 the pre-step counts ``e_prev`` and ``n_prev`` and the ``step`` column do not
 depend on the draws.
@@ -260,43 +260,6 @@ class _Draws:
         self._rng.setstate(self._entry)
 
 
-def _set_mask(size: int) -> int:
-    """Table mask of a CPython set after ``size`` distinct insertions.
-
-    ``set.add`` resizes once fill*5 >= mask*3, to the smallest power of two
-    above 4*used (2*used past 50000 entries); every insertion here is new.
-    """
-    mask = 7
-    for used in range(1, size + 1):
-        if used * 5 >= mask * 3:
-            table = 8
-            while table <= (used * 2 if used > 50000 else used * 4):
-                table <<= 1
-            mask = table - 1
-    return mask
-
-
-def _set_order(rows: np.ndarray, bits: int, keys: np.ndarray | None = None) -> np.ndarray:
-    """Each row of distinct ints in [0, 2**bits) in the iteration order of
-    the set its values are added to, left to right.
-
-    Such an int hashes to itself, so the set holds ``v`` at slot ``v & mask``
-    and iterates by slot, unless two values share a slot; then probing
-    decides, and those rows are built as real sets.  ``keys``, if given, are
-    the rows' ``(v & mask) << bits | v`` already sorted along each row.
-    """
-    width = rows.shape[1]
-    if width < 2:
-        return rows
-    if keys is None:
-        keys = np.sort(((rows & _set_mask(width)) << bits) | rows, axis=1)
-    out, slots = keys & ((1 << bits) - 1), keys >> bits
-    clash = np.flatnonzero(slots[:, 1:] == slots[:, :-1]) // (width - 1)
-    if len(clash):
-        out[clash] = list(map(list, map(set, rows[clash].tolist())))
-    return out
-
-
 def _repeat_rank(value: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per entry, the number of earlier entries of the same value; and the
     distinct values, ascending, with their counts.
@@ -318,10 +281,11 @@ def _repeat_rank(value: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 class _Growth:
     """One call's growth, written into preallocated arrays.
 
-    ``targets`` is the whole edge-target list, the network's edges first;
-    ``sources`` (kept only with edge storage) is the edge-source list in the
-    same order, each step's response sources written in set order.
-    ``picks`` holds the targets of each step in draw order, one per record.
+    ``targets`` is the whole edge-target list, the network's edges first,
+    then per step its targets in draw order, one per record, and one entry
+    of the new node per response; ``sources`` (kept only with edge storage)
+    is the edge-source list in the same order, a step's response sources in
+    draw order.
     """
 
     def __init__(self, net: GrowingNetwork, params: ModelParams, steps: int,
@@ -333,20 +297,14 @@ class _Growth:
         self.responses = np.minimum(self.m_hat, self.n_prev)
         added = self.per_step + self.responses
         self.e_prev = self.e0 + np.cumsum(added) - added
-        self.first_pick = np.cumsum(self.per_step) - self.per_step
         self.budget = 2 * self.per_step + self.responses  # draws of a step without redraws
         self.budget_left = np.cumsum(self.budget[::-1])[::-1]
         self.warm_up = min(steps, max(0, self.m - self.n0, self.m_hat - self.n0))
-        # node ids are below 2**bits, so (slot << bits) | id fits in int64:
-        # SampleLog bounds n_prev * e_prev, hence ids and slots, by 2**53
-        self.bits = (self.n0 + steps).bit_length()
-        self.mask = _set_mask(self.m)
         self.targets = np.empty(self.e0 + int(added.sum()), dtype=np.int64)
         self.targets[:self.e0] = net._edge_targets
         self.sources = None if net._edge_sources is None else np.empty_like(self.targets)
         if self.sources is not None:
             self.sources[:self.e0] = net._edge_sources
-        self.picks = np.empty(int(self.per_step.sum()), dtype=np.int64)
         self.draws = _Draws(rng, int(self.budget_left[0]))
 
     def ensure(self, t: int, count: int) -> None:
@@ -375,9 +333,8 @@ class _Growth:
         redraws = iter(lambda: self.draws.next(self.spare(t)), None)
         draw = itertools.chain(first, itertools.islice(redraws, _REDRAW_LIMIT)).__next__
         targets = self.targets
-        chosen: set[int] = set()
-        picks = []
-        sources: set[int] = set()
+        picks: list[int] = []
+        sources: list[int] = []
         try:
             for _ in range(n_picks):
                 while True:
@@ -385,28 +342,28 @@ class _Growth:
                         v = int(targets[int(draw() * e)])
                     else:
                         v = int(draw() * n)
-                    if v not in chosen:
+                    if v not in picks:
                         break
-                chosen.add(v)
                 picks.append(v)
             while len(sources) < n_sources:
-                sources.add(int(draw() * n))
+                s = int(draw() * n)
+                if s not in sources:
+                    sources.append(s)
         except StopIteration:
             raise StructuralError(
                 f"step {t + 1} drew {budget + _REDRAW_LIMIT} times without finding {n_picks} "
                 f"distinct targets and {n_sources} distinct sources; near alpha=1 with "
                 "m_hat=0, a node of in-degree 0 is almost never drawn") from None
-        a, end = self.first_pick[t], e + n_picks + n_sources
-        self.picks[a:a + n_picks] = picks
-        targets[e:end] = list(chosen) + [n] * n_sources
+        end = e + n_picks + n_sources
+        targets[e:end] = picks + [n] * n_sources
         if self.sources is not None:
-            self.sources[e:end] = [n] * n_picks + list(sources)
+            self.sources[e:end] = [n] * n_picks + sources
 
     def window(self, t: int, size: int) -> tuple[int, int]:
         """Speculate up to ``size`` full steps from step t at 2m + m_hat draws
         each; commit those before the first with a repeated target or source.
         Return the steps committed and the steps speculated."""
-        m, mask, bits = self.m, self.mask, self.bits
+        m = self.m
         width, fan = 2 * m + self.m_hat, m + self.m_hat
         self.ensure(t, width)
         size = min(size, self.draws.available() // width)
@@ -425,11 +382,11 @@ class _Growth:
                 at_flat = pref[at]
                 late = zip(at_flat.tolist(), slots[at].tolist())
         sources = (u[:, 2 * m:] * n).astype(np.int64)
-        # one sort per row finds repeats and orders the targets by hash slot:
-        # targets as (slot << bits) | id, sources above them all, and a slot
-        # added in this window as its own negative placeholder until resolved
+        # one sort per row finds repeats: targets as their ids, sources above
+        # them all, and a slot added in this window as its own negative
+        # placeholder until resolved
         keys = np.empty((size, fan), dtype=np.int64)
-        keys[:, :m] = ((picks & mask) << bits) | picks
+        keys[:, :m] = picks
         keys[:, m:] = sources + (1 << 62)
         if at_flat is not None:
             keys[:, :m].flat[at_flat] = -1 - np.arange(len(at_flat))
@@ -440,51 +397,41 @@ class _Growth:
             first = int(same.argmax())
             if same.flat[first]:
                 stop = first // (fan - 1)
-        # one ascending pass resolves the slots added in this window: a
-        # response slot holds its step's new node, an out-slot the rank-th of
-        # that step's targets in set order.  A resolved row is checked for a
-        # repeat, and rows from the first repeat on are dropped.
-        order: dict[int, list] = {}
-        resolved = []
+        # one ascending pass resolves the slots added in this window, each in
+        # an earlier row: a response slot holds its step's new node, an
+        # out-slot the rank-th target its step drew.  A resolved row is
+        # checked for a repeat, and rows from the first repeat on are dropped.
         for j, group in itertools.groupby(late, key=lambda ref: ref[0] // m):
             if j >= stop:
                 break
             for at, slot in group:
                 row, rank = divmod(slot - e, fan)
-                if rank >= m:
-                    flat[at] = first_node + row
-                    continue
-                if row not in order:
-                    order[row] = list(set(picks[row].tolist()))
-                flat[at] = order[row][rank]
+                flat[at] = first_node + row if rank >= m else flat[row * m + rank]
             if len(set(picks[j].tolist())) < m:
                 stop = j
-            else:
-                resolved.append(j)
         if stop:
-            if resolved:
-                fix = picks[resolved]
-                keys[resolved, :m] = np.sort(((fix & mask) << bits) | fix, axis=1)
-            a = self.first_pick[t]
-            self.picks[a:a + stop * m] = flat[:stop * m]
             block = self.targets[e:e + stop * fan].reshape(stop, fan)
-            block[:, :m] = _set_order(picks[:stop], bits, keys[:stop, :m])
+            block[:, :m] = picks[:stop]
             block[:, m:] = self.n_prev[t:t + stop, None]
             if self.sources is not None:
                 block = self.sources[e:e + stop * fan].reshape(stop, fan)
                 block[:, :m] = self.n_prev[t:t + stop, None]
-                block[:, m:] = _set_order(sources[:stop], bits)
+                block[:, m:] = sources[:stop]
             self.draws.pos += stop * width
         return stop, size
 
     def finish(self, net: GrowingNetwork, steps: int) -> "SampleLog":
         """Give the network its new edge arrays and in-degrees; return the records."""
-        # k = entry in-degree + earlier picks of the same node (one per step),
-        # a new node entering with its responses; the rank keys fit in int64
+        # the picks, one per record, are each step's first new slots; k =
+        # entry in-degree + earlier picks of the same node (one per step), a
+        # new node entering with its responses; the rank keys fit in int64
         # since SampleLog bounds n_prev * e_prev by 2**53
-        earlier, nodes, sizes = _repeat_rank(self.picks)
+        records = np.arange(int(self.per_step.sum()))
+        first = np.cumsum(self.per_step) - self.per_step  # each step's first record
+        picks = self.targets[records + np.repeat(self.e_prev - first, self.per_step)]
+        earlier, nodes, sizes = _repeat_rank(picks)
         in_degree = np.concatenate([net.in_degree, self.responses])
-        k = in_degree[self.picks] + earlier
+        k = in_degree[picks] + earlier
         in_degree[nodes] += sizes
         net.in_degree, net._edge_targets, net._edge_sources = in_degree, self.targets, self.sources
         return SampleLog(k, np.repeat(self.e_prev, self.per_step),
@@ -517,10 +464,8 @@ def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
     times a running mean of the steps from one repeat to the next (0.7 of
     the old mean, 0.3 of the new gap), a mean that doubles, up to
     ``_MAX_WINDOW``, each time a window commits whole.  Out-edges and
-    response edges are stored in the iteration order of CPython's ``set`` of
-    the step's targets and of its sources, as the per-attachment form stored
-    them (``_set_order``); each ``k`` comes from ranks at the end
-    (``_repeat_rank``).
+    response edges are stored in the order their targets and sources were
+    first drawn; each ``k`` comes from ranks at the end (``_repeat_rank``).
     """
     if type(rng) is not random.Random:
         # a subclass may override random(), which the bulk stream would bypass
@@ -581,9 +526,11 @@ def grow_step(
     """Advance the network by one step, mutating ``net`` in place.
 
     Returns the network and the multiset of attachment records for the m
-    targets (response edges are not logged).  Each call pays the growth
-    kernel's fixed set-up, about 0.4 ms on a 20k-node network whatever the
-    step; a loop of steps should call :func:`grow_sequence` once instead.
+    targets (response edges are not logged).  Each call copies the
+    network's arrays into new ones and pays the growth kernel's set-up:
+    about 0.3 ms on a 20k-node network on a 2-core x86 box, and up to 0.8 ms
+    when the new arrays' pages fault in; a loop of steps should call
+    :func:`grow_sequence` once instead.
     """
     return net, list(_grow(net, params, 1, rng).records())
 

@@ -107,10 +107,11 @@ def reference_grow(net: GrowingNetwork, params: ModelParams, steps: int,
                    rng: random.Random) -> SampleLog:
     """Advance ``net`` by ``steps`` steps in place; return their records.
 
-    The per-attachment loop that ``netmodel._grow`` replaced, kept verbatim
-    as the differential oracle for the windowed kernel; it runs on lists
-    taken from the network's int64 arrays (the edges as (source, target)
-    tuples, if stored) and writes arrays back.
+    The per-attachment loop that ``netmodel._grow`` replaced, kept as the
+    differential oracle for the windowed kernel; it runs on lists taken from
+    the network's int64 arrays (the edges as (source, target) tuples, if
+    stored) and writes arrays back.  A step's out-edges and response edges
+    are stored in the order their targets and sources were first drawn.
 
     Rejection from the full mixture conditioned on "not chosen yet" equals
     sequential renormalized draws without replacement.  With fewer than m
@@ -138,30 +139,32 @@ def reference_grow(net: GrowingNetwork, params: ModelParams, steps: int,
     record = ks.append
     for n_prev in range(n0, n0 + steps):
         e_prev = len(targets)
-        chosen: set[int] = set()
+        picks: list[int] = []
         for _ in range(min(m, n_prev)):
             while True:
                 if draw() < alpha:
                     v = targets[int(draw() * e_prev)]
                 else:
                     v = int(draw() * n_prev)
-                if v not in chosen:
+                if v not in picks:
                     break
-            chosen.add(v)
+            picks.append(v)
             record(in_degree[v])
-        sources: set[int] = set()
+        sources: list[int] = []
         n_sources = min(m_hat, n_prev)
         while len(sources) < n_sources:
-            sources.add(int(draw() * n_prev))
+            s = int(draw() * n_prev)
+            if s not in sources:
+                sources.append(s)
 
         # the new node's id is n_prev; its out-edges precede its response edges
-        for v in chosen:
+        for v in picks:
             in_degree[v] += 1
         in_degree.append(n_sources)
-        targets.extend(chosen)
+        targets.extend(picks)
         targets.extend([n_prev] * n_sources)
         if edges is not None:
-            edges.extend([(n_prev, v) for v in chosen])
+            edges.extend([(n_prev, v) for v in picks])
             edges.extend([(s, n_prev) for s in sources])
 
     n_prev = np.arange(n0, n0 + steps, dtype=np.int64)

@@ -49,14 +49,40 @@ class TestSimulate:
 
     @pytest.mark.parametrize("alpha,digest", [
         (0, "6b4ae8c6223128fd27587a45d2e237ae8392d4cfeb8427afcf08bea827cbbc81"),
-        (0.6, "8d46693614c56025d9c7f6f9894346f3ca8823c3b5f0ec43d723e597707c55c3"),
-        (1, "366c8d86815d470d667c13ac827ef3029aeed2bfeb904764babf322193f6e1c4"),
+        (0.6, "8fd4cd547de0b9fff4a3890d612b8ad5a0243eedeccb57088008a5ad7e856afd"),
+        (1, "07b12a2264313243d1a4ea58f5f54a72ae3f378d3f5e53bb7713dec196b1a5c4"),
     ])
     def test_pinned_samplelog(self, tmp_path, alpha, digest):
-        # digests of the samplelog.csv that the per-row %d writer wrote
+        # digests of the samplelog.csv that conftest's reference_grow and the
+        # per-row %d writer give; 0.6 and 1 re-pinned for edges in draw order
+        # (at 0 no draw reads a slot)
         assert run(["simulate", "complete:3", "--m", 5, "--m-hat", 3, "--alpha", alpha,
                     "--steps", 2000, "--rng-seed", 1, "--out", tmp_path]) == 0
         assert hashlib.sha256((tmp_path / "samplelog.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("alpha", [0.6, 1])
+    def test_edge_list_replays_samplelog_k(self, tmp_path, alpha):
+        # each step's out-edges are its records in order, so replaying the
+        # edge list from the seed gives every record's in-degree k
+        steps, m, m_hat = 2000, 5, 3
+        assert run(["simulate", "complete:3", "--m", m, "--m-hat", m_hat, "--alpha", alpha,
+                    "--steps", steps, "--rng-seed", 1, "--export-graph", "--out", tmp_path]) == 0
+        edges = [tuple(map(int, line.split()))
+                 for line in (tmp_path / "graph.edgelist").read_text().splitlines()]
+        in_degree = [2, 2, 2]  # K3
+        at, ks = 6, []
+        for node in range(3, 3 + steps):
+            outs = edges[at:at + min(m, node)]
+            responses = edges[at + len(outs):at + len(outs) + min(m_hat, node)]
+            at += len(outs) + len(responses)
+            assert {u for u, _ in outs} == {node} and {v for _, v in responses} == {node}
+            ks += [in_degree[v] for _, v in outs]
+            for _, v in outs:
+                in_degree[v] += 1
+            in_degree.append(len(responses))
+        assert at == len(edges)
+        log = SampleLog.from_csv(tmp_path / "samplelog.csv")
+        assert ks == log.k.tolist()
 
     def test_export_graph(self, tmp_path):
         run(["simulate", "complete:4", "--m", 1, "--steps", 10,

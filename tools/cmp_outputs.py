@@ -11,19 +11,26 @@ side's own directory under a temporary one:
   alpha 0, 0.6 and 1;
 - ``simulate`` at alpha 0.6 from a seed edge-list file with comments, CRLF
   line ends and a non-ASCII label (``SEED_FILE``), without a graph export;
-- ``estimate --method both --trace --stride 500`` on each of those logs;
+- ``estimate --method both --trace --stride 500`` on a sample log at alpha
+  0, 0.6 and 1;
 - ``estimate --trace --snapshot-mode`` on each of those logs;
 - ``estimate --method mle --trace --stride 100`` on the alpha 0.6 log, the
   longest chain of warm-started prefix solves;
 - ``dist --m 5 --m-hat 3 --alpha 0.6 --k-max 45 --ensemble 3 --workers 2``;
 - ``cite`` on the seed-0 pair of ``perfbench/inputs.py`` (10,000 papers).
 
-``--steps`` (default 20000, the paper's FIG3) sets the growth steps of
-``simulate`` and ``dist``.  The tool compares each call's stdout and every
-output file byte for byte; ``manifest.json`` is compared without
-``duration_s`` and its output paths.  It prints one line per stdout and
-file, ``same`` or ``DIFF``, and exits 0 if all are equal, 1 on any
-difference, and 2 if a call fails on either side.
+The estimator calls read logs that no mixnet growth kernel made: each is
+written once by ``perfbench/inputs.py``'s ``growth_log`` (seed 1, m=5,
+m_hat=3, a complete 3-node seed) and read by both sides, like the ``cite``
+pair.  So a change to growth shows as DIFF only on the ``simulate`` and
+``dist`` outputs.  ``--steps`` (default 20000, the paper's FIG3) sets the
+growth steps of ``simulate``, ``dist`` and those logs.
+
+The tool compares each call's stdout and every output file byte for byte;
+``manifest.json`` is compared without ``duration_s`` and its output paths.
+It prints one line per stdout and file, ``same`` or ``DIFF``, and exits 0
+if all are equal, 1 on any difference, and 2 if a call fails on either
+side.
 """
 
 from __future__ import annotations
@@ -48,8 +55,9 @@ class CallFailed(Exception):
     """A call exited non-zero, so there is nothing to compare."""
 
 
-def calls(steps: int, cite_argv: list, seed_path: str) -> list:
-    """(output directory, mixnet argv) of each call, in run order."""
+def calls(steps: int, cite_argv: list, seed_path: str, logs: dict) -> list:
+    """(output directory, mixnet argv) of each call, in run order; ``logs``
+    maps each alpha to the sample log its estimator calls read."""
     out = []
     for alpha in ALPHAS:
         out.append((f"simulate-{alpha}", [
@@ -59,11 +67,11 @@ def calls(steps: int, cite_argv: list, seed_path: str) -> list:
         "simulate", seed_path, "--m", "5", "--m-hat", "3", "--alpha", "0.6",
         "--steps", str(steps), "--rng-seed", "1"]))
     for alpha in ALPHAS:
-        log = os.path.join(f"simulate-{alpha}", "samplelog.csv")
+        log = logs[alpha]
         out.append((f"estimate-{alpha}", [
             "estimate", log, "--method", "both", "--trace", "--stride", "500"]))
         out.append((f"snapshot-{alpha}", ["estimate", log, "--trace", "--snapshot-mode"]))
-    out.append(("trace-0.6", ["estimate", os.path.join("simulate-0.6", "samplelog.csv"),
+    out.append(("trace-0.6", ["estimate", logs["0.6"],
                               "--method", "mle", "--trace", "--stride", "100"]))
     out.append(("dist", ["dist", "--m", "5", "--m-hat", "3", "--alpha", "0.6", "--k-max", "45",
                          "--ensemble", "3", "--workers", "2", "--steps", str(steps)]))
@@ -111,16 +119,20 @@ def main(argv=None) -> int:
         data = work / "cite-input"
         data.mkdir()
         sys.path.insert(0, str(ROOT / "perfbench"))
-        import inputs  # mixnet-free generator of the benchmark's citation pair
+        import inputs  # mixnet-free generator of the benchmark's inputs
 
         pair = inputs.citation_data(0, 10000, data / "edges.txt", data / "dates.txt")
+        logs = {}
+        for alpha in ALPHAS:
+            logs[alpha] = str(data / f"samplelog-{alpha}.csv")
+            inputs.growth_log(1, args.steps, 5, 3, float(alpha), 3).write_csv(logs[alpha])
         seed = data / "seed.edgelist"
         seed.write_bytes(SEED_FILE.encode("utf-8"))
         cite_argv = ["cite", str(data / "edges.txt"), str(data / "dates.txt"),
                      "--cutoff", pair.cutoff, "--m", "12", "--m-hat", "0"]
         try:
             differ = False
-            for name, call in calls(args.steps, cite_argv, str(seed)):
+            for name, call in calls(args.steps, cite_argv, str(seed), logs):
                 dirs = {side: work / side for side in sides}
                 stdout = {}
                 for side, src in sides.items():

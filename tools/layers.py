@@ -1,4 +1,4 @@
-"""Time mixnet's estimator layers from one or two source trees.
+"""Time mixnet's growth and estimator layers from one or two source trees.
 
     python tools/layers.py BASE_SRC [CHANGE_SRC] [--reps N] [--layers A,B,...]
                            [--steps N] [--papers N]
@@ -10,10 +10,15 @@ which of them goes first.  A run builds its input untimed, calls the layer
 once to warm up, times one call, and then makes one more call with
 ``likelihood._derivative`` wrapped to count the rows it evaluates.
 
-The layers (FIG3 means m=5, m_hat=3, a complete 3-node seed, ``--steps``
-growth steps, default 20000, and ``make_rng(1)``):
+The layers (FIG3 means m=5, m_hat=3, a complete 3-node seed and ``--steps``
+growth steps, default 20000; a FIG3 log is the one ``perfbench/inputs.py``'s
+``growth_log`` grows with seed 1, so no estimator layer's input depends on
+mixnet's growth kernel):
 
-- ``mle-A``: ``mle_estimate`` on the FIG3 log grown at alpha A (0, 0.6, 1);
+- ``grow-A``: ``grow_sequence`` at FIG3 and alpha A (0, 0.6, 1) with
+  ``keep_edges``, each call from a fresh ``make_rng(1)``; its result is the
+  bytes of the log's columns, the in-degrees and both edge arrays;
+- ``mle-A``: ``mle_estimate`` on the FIG3 log at alpha A (0, 0.6, 1);
 - ``solve-0.6``: the MLE's solve alone, ``likelihood._maximize`` on that log;
 - ``prefix-S-A``: ``prefix_estimates`` at stride S on that log;
 - ``step-0.6``: ``step_estimates``;
@@ -25,8 +30,9 @@ growth steps, default 20000, and ``make_rng(1)``):
 
 It prints one JSON object: for each layer and side the median and quartiles
 of the timed call in seconds, the sha256 of the layer's result (its reprs,
-or the bytes of the files ``main`` wrote), the ``_derivative`` row passes per
-solve, and whether both sides' results are equal.
+its arrays' bytes, or the bytes of the files ``main`` wrote), the
+``_derivative`` row passes per solve (0 for a growth layer, which solves
+nothing), and whether both sides' results are equal.
 """
 
 from __future__ import annotations
@@ -48,27 +54,42 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("mle-0", "mle-0.6", "mle-1", "solve-0.6", "prefix-100-0", "prefix-100-0.6",
-          "prefix-100-1", "prefix-5000-0.6", "step-0.6", "cite-mle", "trace", "snapshot")
+LAYERS = ("grow-0", "grow-0.6", "grow-1", "mle-0", "mle-0.6", "mle-1", "solve-0.6",
+          "prefix-100-0", "prefix-100-0.6", "prefix-100-1", "prefix-5000-0.6", "step-0.6",
+          "cite-mle", "trace", "snapshot")
+
+
+def perfbench_inputs():
+    """``perfbench/inputs.py``, the mixnet-free generator of the benchmark's inputs."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import inputs
+
+    return inputs
 
 
 def fig3_log(alpha: float, steps: int):
+    from mixnet import SampleLog
+
+    records = perfbench_inputs().growth_log(1, steps, 5, 3, alpha, 3)
+    return SampleLog(records.k, records.e_prev, records.n_prev, records.step)
+
+
+def grow(alpha: float, steps: int) -> list:
     from mixnet import ModelParams, SeedSpec, grow_sequence, make_rng
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the K3 seed has fewer nodes than m
-        _, log = grow_sequence(SeedSpec.complete(3), ModelParams(5, 3, alpha), steps,
-                               make_rng(1))
-    return log
+        net, log = grow_sequence(SeedSpec.complete(3), ModelParams(5, 3, alpha), steps,
+                                 make_rng(1), keep_edges=True)
+    return [a.astype("<i8").tobytes() for a in (log.step, log.k, log.e_prev, log.n_prev,
+                                                net.in_degree, net._edge_sources,
+                                                net._edge_targets)]
 
 
 def cite_log(papers: int, work: Path):
     from mixnet.ingest import build_replay, load_dataset, replay_to_samplelog
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import inputs  # mixnet-free generator of the benchmark's citation pair
-
-    pair = inputs.citation_data(0, papers, work / "edges.txt", work / "dates.txt")
+    pair = perfbench_inputs().citation_data(0, papers, work / "edges.txt", work / "dates.txt")
     cutoff = datetime.date.fromisoformat(pair.cutoff)
     return replay_to_samplelog(build_replay(load_dataset(work / "edges.txt",
                                                          work / "dates.txt"), cutoff)).sample_log
@@ -80,6 +101,8 @@ def prepare(layer: str, steps: int, papers: int, work: Path):
     from mixnet.cli import main
 
     kind, *rest = layer.split("-")
+    if kind == "grow":
+        return lambda: grow(float(rest[0]), steps), lambda result: 0
     if kind == "mle":
         log = fig3_log(float(rest[0]), steps)
         return lambda: [likelihood.mle_estimate(log).to_dict()], len
