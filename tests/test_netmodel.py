@@ -482,6 +482,29 @@ class TestDrawStream:
         assert rng.random() == mirror.random()
 
 
+@pytest.mark.parametrize("width", range(1, 41))
+def test_set_order_matches_real_sets(width):
+    # m = width from a seed of width + 1 nodes, so early rows repeat a target
+    # almost surely and later windows resolve slots of every rank; each
+    # step's stored targets and sources are a real set of its draws (no
+    # repeat), in the order the per-attachment oracle first drew them
+    params = ModelParams(m=width, m_hat=2, alpha=0.6)
+    seed, steps = SeedSpec.complete(width + 1), 300
+    kernel, loop = (GrowingNetwork.from_seed(seed, keep_edges=True) for _ in range(2))
+    log = _grow(kernel, params, steps, make_rng(width))
+    expect = reference_grow(loop, params, steps, make_rng(width))
+    assert list(log.records()) == list(expect.records())
+    edges = kernel.edges
+    assert edges == loop.edges
+    at = len(seed.edges)
+    for n in range(width + 1, width + 1 + steps):
+        outs, responses = edges[at:at + width], edges[at + width:at + width + 2]
+        at += width + 2
+        assert {u for u, _ in outs} == {n} and {v for _, v in responses} == {n}
+        assert len({v for _, v in outs}) == width and len({u for u, _ in responses}) == 2
+    assert at == kernel.edge_count
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 7), max_size=80), st.booleans())
 @example([], False)
