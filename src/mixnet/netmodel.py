@@ -12,8 +12,9 @@ edge-list form of Batagelj & Brandes 2005): a uniform slot of that list is a
 draw proportional to in-degree.  That list, the in-degrees and, when edges
 are stored, the edge sources are the network's state, int64 arrays that each
 growth call replaces.  The kernel reads ``random.Random.random()`` in bulk
-from numpy's ``MT19937`` (the same generator, so the same doubles), and runs
-full steps in windows that assume no target or source is drawn twice: every
+from numpy's ``MT19937`` (the same generator, so the same doubles), never
+ahead of the draws the call is sure to consume, and runs full steps in
+windows that assume no target or source is drawn twice: every
 target and source of a window comes from a few array operations, and the
 window is committed up to its first step with a repeat.  That step, and each
 warm-up step of a seed smaller than ``max(m, m_hat)``, is drawn one
@@ -192,8 +193,8 @@ def attachment_probability(k: int, e_prev: int, n_prev: int, alpha: float) -> fl
 _DRAW_CHUNK = 1 << 16  # draws generated at a time: bounds the buffer for any T
 _BULK_MIN = 1 << 13  # draws below which moving the generator state costs more
 _MIN_WINDOW, _MAX_WINDOW = 16, 4096  # steps speculated at once
-# draws a step may make beyond its 2m + m_hat: 0.5 s of redraws, 1.4 s on a
-# call's last step, where each redraw is fetched alone
+# draws a step may make beyond its 2m + m_hat: 0.1-0.15 s of redraws from
+# rng.random(), 0.2-0.4 s from numpy's generator (tools/layers.py, redraw-*)
 _REDRAW_LIMIT = 1 << 18
 
 
@@ -204,51 +205,51 @@ class _Draws:
     ``MT19937`` loaded with the same key and position yields the same doubles
     from ``Generator.random``, in bulk.  Moving the state there and back
     costs about as much as ``_BULK_MIN`` single draws, so a call needing
-    fewer draws takes them from ``rng.random()`` itself.  ``buf`` holds draws
-    ``start ..`` of the stream and ``pos`` counts those consumed.  No chunk
-    reaches past the draws the growth is sure to consume, so at the end every
-    draw is consumed and the generator's state is the one to write back.
+    fewer draws takes them from ``rng.random()`` itself.  ``total`` counts
+    the draws the growth makes without redraws, all of which it consumes;
+    ``buf`` holds the draws fetched so far, the first ``i`` consumed.  A
+    ``take`` short of draws fetches what it lacks or, if more, up to a chunk
+    of the ``total`` not yet fetched.  It asks only for draws of steps still
+    to come, so no fetch goes past the draws the growth consumes, and at the
+    end the generator's state is the one to write back.  A redraw past the
+    buffered draws is drawn alone.
     """
 
     def __init__(self, rng: random.Random, total: int):
         self._rng, self._bits, self._entry = rng, None, rng.getstate()
+        self._one, self._unfetched = rng.random, total
         if total >= _BULK_MIN:
             internal = self._entry[1]
             self._bits = np.random.MT19937(0)
             self._bits.state = {"bit_generator": "MT19937", "state": {
                 "key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]}}
             self._gen = np.random.Generator(self._bits)
-        self.buf = np.empty(0)
-        self.start = self.pos = 0
-
-    def available(self) -> int:
-        return self.start + len(self.buf) - self.pos
-
-    def refill(self, count: int) -> None:
-        """Draw ``count`` more after the unconsumed ones; all will be consumed."""
-        if self._bits is not None:
-            fresh = self._gen.random(count)
-        else:
-            draw = self._rng.random
-            fresh = np.array([draw() for _ in range(count)])
-        self.buf = np.concatenate([self.buf[self.pos - self.start:], fresh])
-        self.start = self.pos
+            self._one = self._gen.random
+        self.buf, self.i = np.empty(0), 0
 
     def take(self, count: int) -> np.ndarray:
-        """The next ``count`` draws, not yet consumed."""
-        i = self.pos - self.start
-        return self.buf[i:i + count]
+        """The next ``count`` draws, not yet consumed (callers advance ``i``)."""
+        have = len(self.buf) - self.i
+        if have < count:
+            fetch = max(count - have, min(_DRAW_CHUNK, self._unfetched))
+            self._unfetched -= fetch
+            if self._bits is not None:
+                fresh = self._gen.random(fetch)
+            else:
+                fresh = np.array([self._one() for _ in range(fetch)])
+            self.buf, self.i = np.concatenate([self.buf[self.i:], fresh]), 0
+        return self.buf[self.i:self.i + count]
 
-    def next(self, ahead: int) -> float:
-        """Consume one draw, drawing ``ahead`` more if none is left."""
-        if not self.available():
-            self.refill(ahead)
-        self.pos += 1
-        return float(self.buf[self.pos - 1 - self.start])
+    def next(self) -> float:
+        """Consume one draw: the next buffered one, else a fresh one."""
+        if self.i < len(self.buf):
+            self.i += 1
+            return float(self.buf[self.i - 1])
+        return self._one()
 
     def write_back(self) -> None:
         """Leave ``rng`` as if it had made every draw consumed."""
-        if self.available():
+        if self.i < len(self.buf):
             raise RuntimeError("growth drew past the draws it consumed")
         if self._bits is not None:
             version, _, gauss = self._entry
@@ -297,29 +298,14 @@ class _Growth:
         self.responses = np.minimum(self.m_hat, self.n_prev)
         added = self.per_step + self.responses
         self.e_prev = self.e0 + np.cumsum(added) - added
-        self.budget = 2 * self.per_step + self.responses  # draws of a step without redraws
-        self.budget_left = np.cumsum(self.budget[::-1])[::-1]
         self.warm_up = min(steps, max(0, self.m - self.n0, self.m_hat - self.n0))
         self.targets = np.empty(self.e0 + int(added.sum()), dtype=np.int64)
         self.targets[:self.e0] = net._edge_targets
         self.sources = None if net._edge_sources is None else np.empty_like(self.targets)
         if self.sources is not None:
             self.sources[:self.e0] = net._edge_sources
-        self.draws = _Draws(rng, int(self.budget_left[0]))
-
-    def ensure(self, t: int, count: int) -> None:
-        """Have at least ``count`` draws buffered, ``count`` <= step t's budget.
-
-        A refill stops at the budget of steps t.., which every draw from
-        step t on is sure to consume."""
-        have = self.draws.available()
-        if have < count:
-            self.draws.refill(max(count, min(_DRAW_CHUNK, int(self.budget_left[t]))) - have)
-
-    def spare(self, t: int) -> int:
-        """Draws to fetch on a redraw in step t: the redraw and later steps' budget."""
-        later = int(self.budget_left[t + 1]) if t + 1 < len(self.budget_left) else 0
-        return min(_DRAW_CHUNK, 1 + later)
+        # the draws of every step without redraws: 2 per target, 1 per source
+        self.draws = _Draws(rng, int(2 * self.per_step.sum() + self.responses.sum()))
 
     def scalar_step(self, t: int) -> None:
         """Step t drawn one attachment at a time, redraws included; more than
@@ -327,10 +313,9 @@ class _Growth:
         n, e, alpha = self.n0 + t, int(self.e_prev[t]), self.alpha
         n_picks, n_sources = min(self.m, n), min(self.m_hat, n)
         budget = 2 * n_picks + n_sources  # a step takes at least its budget
-        self.ensure(t, budget)
         first = self.draws.take(budget).tolist()
-        self.draws.pos += budget
-        redraws = iter(lambda: self.draws.next(self.spare(t)), None)
+        self.draws.i += budget
+        redraws = iter(self.draws.next, None)
         draw = itertools.chain(first, itertools.islice(redraws, _REDRAW_LIMIT)).__next__
         targets = self.targets
         picks: list[int] = []
@@ -365,8 +350,6 @@ class _Growth:
         Return the steps committed and the steps speculated."""
         m = self.m
         width, fan = 2 * m + self.m_hat, m + self.m_hat
-        self.ensure(t, width)
-        size = min(size, self.draws.available() // width)
         u = self.draws.take(size * width).reshape(size, width)
         n, e, first_node = self.n_prev[t:t + size, None], int(self.e_prev[t]), self.n0 + t
         draw = u[:, 1:2 * m:2]
@@ -417,7 +400,7 @@ class _Growth:
                 block = self.sources[e:e + stop * fan].reshape(stop, fan)
                 block[:, :m] = self.n_prev[t:t + stop, None]
                 block[:, m:] = sources[:stop]
-            self.draws.pos += stop * width
+            self.draws.i += stop * width
         return stop, size
 
     def finish(self, net: GrowingNetwork, steps: int) -> "SampleLog":
@@ -453,19 +436,21 @@ def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
     replacement.  With fewer than m (m_hat) nodes, a step attaches to all of
     them (warm-up clipping).
 
-    The draws are made ahead in chunks (:class:`_Draws`).  Full steps run
-    in windows that assume no redraw, so each step takes exactly 2m + m_hat
-    draws: all targets at once, existing slots by one gather, slots added
-    inside the window by one ascending pass over earlier rows.  A window
-    commits the steps before its first repeated target or source; that step
-    and each warm-up step run through :meth:`_Growth.scalar_step`, which
-    raises StructuralError after ``_REDRAW_LIMIT`` draws of redraws; ``net``
-    and ``rng`` are then as they were before the call.  A window spans 1.5
-    times a running mean of the steps from one repeat to the next (0.7 of
-    the old mean, 0.3 of the new gap), a mean that doubles, up to
-    ``_MAX_WINDOW``, each time a window commits whole.  Out-edges and
-    response edges are stored in the order their targets and sources were
-    first drawn; each ``k`` comes from ranks at the end (``_repeat_rank``).
+    The draws are made ahead in chunks, within the 2m + m_hat per step the
+    call is sure to consume, and a redraw past them is drawn alone
+    (:class:`_Draws`).  Full steps run in windows that assume no redraw, so
+    each step takes exactly 2m + m_hat draws: all targets at once, existing
+    slots by one gather, slots added inside the window by one ascending pass
+    over earlier rows.  A window commits the steps before its first repeated
+    target or source; that step and each warm-up step run through
+    :meth:`_Growth.scalar_step`, which raises StructuralError after
+    ``_REDRAW_LIMIT`` draws of redraws; ``net`` and ``rng`` are then as they
+    were before the call.  A window spans 1.5 times a running mean of the
+    steps from one repeat to the next (0.7 of the old mean, 0.3 of the new
+    gap), a mean that doubles, up to ``_MAX_WINDOW``, each time a window
+    commits whole.  Out-edges and response edges are stored in the order
+    their targets and sources were first drawn; each ``k`` comes from ranks
+    at the end (``_repeat_rank``).
     """
     if type(rng) is not random.Random:
         # a subclass may override random(), which the bulk stream would bypass
@@ -527,10 +512,10 @@ def grow_step(
 
     Returns the network and the multiset of attachment records for the m
     targets (response edges are not logged).  Each call copies the
-    network's arrays into new ones and pays the growth kernel's set-up:
-    about 0.3 ms on a 20k-node network on a 2-core x86 box, and up to 0.8 ms
-    when the new arrays' pages fault in; a loop of steps should call
-    :func:`grow_sequence` once instead.
+    network's arrays into new ones and pays the growth kernel's set-up: on
+    a 20k-node network on a 2-core x86 box, 0.35-0.4 ms with glibc's malloc
+    thresholds pinned and 0.6-0.9 ms with its dynamic ones, under which the
+    new arrays' pages fault in; a loop should call :func:`grow_sequence`.
     """
     return net, list(_grow(net, params, 1, rng).records())
 

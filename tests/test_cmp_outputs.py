@@ -13,6 +13,7 @@ ESTIMATE = ["em_trace.csv", "estimate.json", "manifest.json", "trace.csv"]
 OUTPUTS = {
     **{f"simulate-{a}": ["graph.edgelist", "manifest.json", "samplelog.csv"]
        for a in ("0", "0.6", "1")},
+    "simulate-500": ["graph.edgelist", "manifest.json", "samplelog.csv"],
     "simulate-seedfile": ["manifest.json", "samplelog.csv"],
     **{f"{call}-{a}": ESTIMATE for call in ("estimate", "snapshot") for a in ("0", "0.6", "1")},
     "trace-0.6": ["estimate.json", "manifest.json", "trace.csv"],

@@ -1,4 +1,4 @@
-"""Smoke test of tools/layers.py: three layers, one tree against itself."""
+"""Smoke test of tools/layers.py: four layers, one tree against itself."""
 
 import json
 import os
@@ -14,11 +14,11 @@ TOOL = os.path.join(ROOT, "tools", "layers.py")
 def test_same_tree_times_and_digests_each_layer():
     src = os.path.dirname(os.path.dirname(mixnet.__file__))
     done = subprocess.run([sys.executable, TOOL, src, src, "--reps", "1", "--steps", "200",
-                           "--layers", "prefix-100-0.6,trace,grow-0.6"],
+                           "--layers", "prefix-100-0.6,trace,grow-0.6,grow-step"],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert list(report["layers"]) == ["prefix-100-0.6", "trace", "grow-0.6"]
+    assert list(report["layers"]) == ["prefix-100-0.6", "trace", "grow-0.6", "grow-step"]
     for layer, entry in report["layers"].items():
         assert entry["same"]
         for side in ("base", "change"):

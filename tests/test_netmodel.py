@@ -388,19 +388,24 @@ class TestGrowthKernel:
         assert errors[0] == errors[1]
         assert "alpha=1 with m_hat=0 needs 3 nodes" in errors[0]
 
+    @pytest.mark.parametrize("steps", [2, 50])
     @pytest.mark.parametrize("bulk", [True, False])
-    def test_redraws_bounded_near_pure_preferential(self, bulk):
+    def test_redraws_bounded_near_pure_preferential(self, bulk, steps):
         # K2, m=3, m_hat=0: step 2 needs the new node, of in-degree 0, which a
-        # draw reaches about once in 3e9 at this alpha
+        # draw reaches about once in 3e9 at this alpha; at steps=2 its redraws
+        # run past every buffered draw, and each is drawn alone rather than
+        # appended to the buffer
         params = ModelParams(m=3, m_hat=0, alpha=1 - 1e-9)
         net = GrowingNetwork.from_seed(SeedSpec.complete(2))
         rng = make_rng(0)
         entry = rng.getstate()
         start = time.perf_counter()
         with mock.patch.object(netmodel, "_BULK_MIN", 0 if bulk else 2**62), \
+                mock.patch.object(np, "concatenate", wraps=np.concatenate) as concatenate, \
                 pytest.raises(StructuralError, match="step 2 drew"):
-            _grow(net, params, 2, rng)
+            _grow(net, params, steps, rng)
         assert time.perf_counter() - start < 5
+        assert concatenate.call_count < 10
         assert net.in_degree.tolist() == [1, 1] and net._edge_targets.tolist() == [1, 0]
         assert rng.getstate() == entry
 
@@ -469,13 +474,22 @@ class TestDrawStream:
         rng.gauss(0.0, 1.0)  # leaves gauss_next set
         mirror = random.Random()
         mirror.setstate(rng.getstate())
-        draws = _Draws(rng, netmodel._BULK_MIN if bulk else 0)
-        got = []
-        for chunk, used in [(700, 500), (1300, 1500)]:  # the second keeps 200 over
-            draws.refill(chunk)
-            got += draws.take(used).tolist()
-            draws.pos += used
-        assert got == [mirror.random() for _ in range(2000)]
+        # 2000 draws without redraws, fetched at most 700 ahead: the first take
+        # fetches 700 and keeps 200 over, the second fetches only the 800 it
+        # lacks, the third the last 500; the first next() consumes a buffered
+        # draw, the other two are redraws past the buffer, drawn without a fetch
+        with mock.patch.object(netmodel, "_BULK_MIN", 0 if bulk else 2**62), \
+                mock.patch.object(netmodel, "_DRAW_CHUNK", 700):
+            draws = _Draws(rng, 2000)
+            got = []
+            for used, buffered in [(500, 700), (999, 999), (500, 500)]:
+                got += draws.take(used).tolist()
+                assert len(draws.buf) - draws.i == buffered
+                draws.i += used
+                buf = draws.buf
+                got.append(draws.next())
+                assert draws.buf is buf and len(buf) - draws.i == max(buffered - used - 1, 0)
+        assert got == [mirror.random() for _ in range(2002)]
         draws.write_back()
         assert rng.getstate() == mirror.getstate()
         assert rng.getstate()[2] is not None

@@ -11,6 +11,9 @@ side's own directory under a temporary one:
   alpha 0, 0.6 and 1;
 - ``simulate`` at alpha 0.6 from a seed edge-list file with comments, CRLF
   line ends and a non-ASCII label (``SEED_FILE``), without a graph export;
+- the alpha 0.6 ``simulate`` with ``--export-graph`` at a fixed 500 steps:
+  about 6,500 draws, below ``netmodel._BULK_MIN``, so growth draws each
+  through ``rng.random()`` whatever ``--steps`` is;
 - ``estimate --method both --trace --stride 500`` on a sample log at alpha
   0, 0.6 and 1;
 - ``estimate --trace --snapshot-mode`` on each of those logs;
@@ -24,7 +27,7 @@ written once by ``perfbench/inputs.py``'s ``growth_log`` (seed 1, m=5,
 m_hat=3, a complete 3-node seed) and read by both sides, like the ``cite``
 pair.  So a change to growth shows as DIFF only on the ``simulate`` and
 ``dist`` outputs.  ``--steps`` (default 20000, the paper's FIG3) sets the
-growth steps of ``simulate``, ``dist`` and those logs.
+growth steps of the other ``simulate`` calls, ``dist`` and those logs.
 
 The tool compares each call's stdout and every output file byte for byte;
 ``manifest.json`` is compared without ``duration_s`` and its output paths.
@@ -63,6 +66,9 @@ def calls(steps: int, cite_argv: list, seed_path: str, logs: dict) -> list:
         out.append((f"simulate-{alpha}", [
             "simulate", "complete:3", "--m", "5", "--m-hat", "3", "--alpha", alpha,
             "--steps", str(steps), "--rng-seed", "1", "--export-graph"]))
+    out.append(("simulate-500", [
+        "simulate", "complete:3", "--m", "5", "--m-hat", "3", "--alpha", "0.6",
+        "--steps", "500", "--rng-seed", "1", "--export-graph"]))
     out.append(("simulate-seedfile", [
         "simulate", seed_path, "--m", "5", "--m-hat", "3", "--alpha", "0.6",
         "--steps", str(steps), "--rng-seed", "1"]))

@@ -18,6 +18,16 @@ mixnet's growth kernel):
 - ``grow-A``: ``grow_sequence`` at FIG3 and alpha A (0, 0.6, 1) with
   ``keep_edges``, each call from a fresh ``make_rng(1)``; its result is the
   bytes of the log's columns, the in-degrees and both edge arrays;
+- ``grow-step``: 200 ``grow_step`` calls at FIG3 and alpha 0.6 on the network
+  ``grow_sequence`` grows in ``--steps`` steps from ``make_rng(1)`` (without
+  edge storage), each call from that network and the rng state it left; its
+  result is the records and the final in-degrees;
+- ``redraw-S`` and ``redraw-S-bulk``: the redraw-bound call, ``grow_sequence``
+  from a complete 2-node seed with m=3, m_hat=0 and alpha 1 - 1e-9 for S
+  steps (2 or 50), whose step 2 redraws until the bound stops it; ``-bulk``
+  sets ``netmodel._BULK_MIN`` to 0, so the draws come through numpy's
+  ``MT19937`` instead of ``rng.random()``; its result is the error text and
+  a sha256 of the rng state after the call;
 - ``mle-A``: ``mle_estimate`` on the FIG3 log at alpha A (0, 0.6, 1);
 - ``solve-0.6``: the MLE's solve alone, ``likelihood._maximize`` on that log;
 - ``prefix-S-A``: ``prefix_estimates`` at stride S on that log;
@@ -31,8 +41,8 @@ mixnet's growth kernel):
 It prints one JSON object: for each layer and side the median and quartiles
 of the timed call in seconds, the sha256 of the layer's result (its reprs,
 its arrays' bytes, or the bytes of the files ``main`` wrote), the
-``_derivative`` row passes per solve (0 for a growth layer, which solves
-nothing), and whether both sides' results are equal.
+``_derivative`` row passes per solve (0 for a growth or redraw layer, which
+solves nothing), and whether both sides' results are equal.
 """
 
 from __future__ import annotations
@@ -54,7 +64,8 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("grow-0", "grow-0.6", "grow-1", "mle-0", "mle-0.6", "mle-1", "solve-0.6",
+LAYERS = ("grow-0", "grow-0.6", "grow-1", "grow-step", "redraw-2", "redraw-50",
+          "redraw-2-bulk", "redraw-50-bulk", "mle-0", "mle-0.6", "mle-1", "solve-0.6",
           "prefix-100-0", "prefix-100-0.6", "prefix-100-1", "prefix-5000-0.6", "step-0.6",
           "cite-mle", "trace", "snapshot")
 
@@ -86,6 +97,40 @@ def grow(alpha: float, steps: int) -> list:
                                                 net._edge_targets)]
 
 
+def grow_steps(steps: int):
+    """The ``grow-step`` call: 200 ``grow_step`` calls from one FIG3 network."""
+    from mixnet import GrowingNetwork, ModelParams, SeedSpec, grow_sequence, grow_step, make_rng
+
+    params, rng = ModelParams(5, 3, 0.6), make_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the K3 seed has fewer nodes than m
+        net, _ = grow_sequence(SeedSpec.complete(3), params, steps, rng)
+    state = rng.getstate()
+
+    def call() -> list:
+        # growth replaces the network's arrays rather than writing into them
+        grown = GrowingNetwork(net.in_degree, net._edge_targets)
+        rng.setstate(state)
+        records = [grow_step(grown, params, rng)[1] for _ in range(200)]
+        return [records, grown.in_degree.astype("<i8").tobytes()]
+
+    return call
+
+
+def redraw(steps: int, bulk: bool) -> list:
+    """The ``redraw-S`` call: growth whose step 2 hits the redraw bound."""
+    from mixnet import ModelParams, SeedSpec, grow_sequence, make_rng, netmodel
+
+    rng = make_rng(0)
+    if bulk:
+        netmodel._BULK_MIN = 0
+    try:
+        grow_sequence(SeedSpec.complete(2), ModelParams(3, 0, 1 - 1e-9), steps, rng)
+    except netmodel.StructuralError as exc:
+        return [str(exc), hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()]
+    raise AssertionError("the redraw bound was not reached")
+
+
 def cite_log(papers: int, work: Path):
     from mixnet.ingest import build_replay, load_dataset, replay_to_samplelog
 
@@ -101,8 +146,12 @@ def prepare(layer: str, steps: int, papers: int, work: Path):
     from mixnet.cli import main
 
     kind, *rest = layer.split("-")
+    if kind == "grow" and rest == ["step"]:
+        return grow_steps(steps), lambda result: 0
     if kind == "grow":
         return lambda: grow(float(rest[0]), steps), lambda result: 0
+    if kind == "redraw":
+        return lambda: redraw(int(rest[0]), rest[1:] == ["bulk"]), lambda result: 0
     if kind == "mle":
         log = fig3_log(float(rest[0]), steps)
         return lambda: [likelihood.mle_estimate(log).to_dict()], len
