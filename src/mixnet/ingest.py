@@ -1,21 +1,21 @@
 """Replay a timestamped citation dataset as a growth sequence.
 
 The dataset is a SNAP-style edge file (citing cited) plus a dates file
-(id<TAB>YYYY-MM-DD), read like seed edge lists (``netmodel._read_pairs``).
+(id<TAB>YYYY-MM-DD), read like seed edge lists (``netmodel._pair_fields``).
 Papers dated up to a cutoff, together with the papers they cite, form the
 seed; the remaining dated papers arrive one per step in (date, id) order and
 their citations become attachment records against the pre-arrival snapshot.
 
-The reader interns each file's ids into integer codes in string order: it
-packs every field's bytes into uint64 sort keys, groups equal keys after one
-sort and decodes one string per distinct id, and it parses each distinct
-date string once.  The loader merges the two files' distinct ids and recodes
-the pairs; cleaning (the duplicate-pair drop is the reader's sort-and-group
-again) and ordering are then masks, sorts and counts on numpy columns.  A
-record's k is the target's seed in-degree plus its earlier citations, ranked
-by the same sort as the growth kernel's k (``netmodel._repeat_rank``);
-``n_prev`` at step t counts the nodes whose entry step is below t (0 for
-seed nodes, else the earlier of the node's arrival and its first citation).
+The loader interns both files' ids in one pass (``netmodel._intern``): each
+id gets one code, in string order, from one sort of packed byte keys, and
+each distinct date string is parsed once.  Cleaning and ordering are masks,
+counts and stable sorts of codes packed above the row index
+(``netmodel._stable_order``); a repeated pair keeps the first row of its run
+in that order, its first line.  A record's k is the target's seed in-degree
+plus its earlier citations, ranked by the same sort as the growth kernel's k
+(``netmodel._repeat_rank``); ``n_prev`` at step t counts the nodes whose
+entry step is below t (0 for seed nodes, else the earlier of the node's
+arrival and its first citation).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .netmodel import ParseError, SampleLog, SeedSpec, _read_pairs, _repeat_rank, _sort_groups
+from .netmodel import (ParseError, SampleLog, SeedSpec, _intern, _pair_fields, _repeat_rank,
+                       _stable_order)
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +39,6 @@ class CitationDataset:
     day: np.ndarray  # date ordinal per code, -1 when undated
     citing: np.ndarray  # cleaned citation pairs as codes, in file order
     cited: np.ndarray
-    dates: dict  # paper id -> datetime.date
     duplicate_edges_dropped: int = 0
     self_citations_dropped: int = 0
     undated_citing_dropped: int = 0
@@ -48,6 +48,13 @@ class CitationDataset:
         """(citing, cited) id pairs, cleaned, in file order."""
         ids = self.labels
         return [(ids[u], ids[v]) for u, v in zip(self.citing.tolist(), self.cited.tolist())]
+
+    @cached_property
+    def dates(self) -> dict:
+        """paper id -> datetime.date, in id order."""
+        ids, dated = self.labels, np.flatnonzero(self.day >= 0)
+        return dict(zip(map(ids.__getitem__, dated.tolist()),
+                        map(datetime.date.fromordinal, self.day[dated].tolist())))
 
     @property
     def paper_count(self) -> int:
@@ -64,34 +71,29 @@ def load_dataset(edge_path, dates_path) -> CitationDataset:
     Self-citations, citations from undated papers (which cannot be placed in
     the sequence) and repeated pairs are dropped, with counts and warnings.
     """
-    dated, (paper, ordinal) = _read_pairs(dates_path, "id date", dated=True)
-    ids, pairs = _read_pairs(edge_path, "citing cited")
-    labels = sorted(set(ids).union(dated))
-    index = dict(zip(labels, range(len(labels))))
-
-    def recode(names: list) -> np.ndarray:
-        return np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
-
-    u, v = recode(ids)[pairs]
-    dates = dict(zip(map(dated.__getitem__, paper.tolist()),
-                     map(datetime.date.fromordinal, ordinal.tolist())))
-    # a paper dated twice keeps its last date, as in the dict
-    last = np.zeros(len(dated), dtype=np.int64)
+    dated, ordinal = _pair_fields(dates_path, "id date", dated=True)
+    labels, codes = _intern(dated, _pair_fields(edge_path, "citing cited")[0])
+    paper, (u, v) = codes[:len(ordinal)], codes[len(ordinal):].reshape(2, -1)
+    # a paper dated twice keeps its last date, as in a dict
+    last = np.zeros(len(labels), dtype=np.int64)
     np.maximum.at(last, paper, np.arange(len(paper)))
     day = np.full(len(labels), -1, dtype=np.int64)
-    day[recode(dated)] = ordinal[last]
+    day[paper] = ordinal[last[paper]]
     # self-citations first, then every pair from an undated paper, then repeats
     selfcite = u == v
     undated = ~selfcite & (day[u] < 0)
     candidates = np.flatnonzero(~selfcite & ~undated)
-    order, heads = _sort_groups((u[candidates] * len(labels) + v[candidates])[None])
-    kept = np.sort(candidates[np.minimum.reduceat(order, heads)])
+    order = candidates[_stable_order(u[candidates], v[candidates])]
+    # the first row of each run of equal pairs in that order is the pair's first line
+    keep = np.zeros(len(u), dtype=bool)
+    keep[order[(np.diff(u[order], prepend=-1) != 0) | (np.diff(v[order], prepend=-1) != 0)]] = True
+    kept = np.flatnonzero(keep)
     dup, selfcite, undated = len(candidates) - len(kept), int(selfcite.sum()), int(undated.sum())
     for count, what in ((dup, "duplicate citation pairs"), (selfcite, "self-citations"),
                         (undated, "citations from papers without a date")):
         if count:
             log.warning("dropped %d %s", count, what)
-    return CitationDataset(labels, day, u[kept], v[kept], dates, dup, selfcite, undated)
+    return CitationDataset(labels, day, u[kept], v[kept], dup, selfcite, undated)
 
 
 @dataclass
@@ -133,16 +135,17 @@ def build_replay(ds: CitationDataset, seed_cutoff: datetime.date) -> ReplaySeque
     if not seed_paper.any():
         raise ValueError(f"no papers dated at or before {seed_cutoff}")
     from_seed = np.flatnonzero(seed_paper[ds.citing])
-    from_seed = from_seed[np.argsort(ds.citing[from_seed], kind="stable")]
+    from_seed = from_seed[_stable_order(ds.citing[from_seed])]
     seed_node = seed_paper.copy()
     seed_node[ds.cited[from_seed]] = True
     arrival_papers = np.flatnonzero(dated & ~seed_node)
-    arrival_papers = arrival_papers[np.lexsort((arrival_papers, ds.day[arrival_papers]))]
+    # ascending codes, so a stable sort by day gives the (date, id) order
+    arrival_papers = arrival_papers[_stable_order(ds.day[arrival_papers])]
     step_of = np.zeros(n, dtype=np.int64)
     step_of[arrival_papers] = np.arange(1, len(arrival_papers) + 1)
     step = step_of[ds.citing]
     replayed = np.flatnonzero(step)
-    replayed = replayed[np.argsort(step[replayed], kind="stable")]
+    replayed = replayed[_stable_order(step[replayed])]
     return ReplaySequence(ds.labels, np.flatnonzero(seed_node), ds.citing[from_seed],
                           ds.cited[from_seed], arrival_papers, step[replayed], ds.cited[replayed])
 

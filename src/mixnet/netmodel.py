@@ -279,6 +279,32 @@ def _repeat_rank(value: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return rank, grouped[head], counts
 
 
+def _stable_order(*keys: np.ndarray) -> np.ndarray:
+    """``np.lexsort(keys[::-1])`` of non-negative int64 keys: the order by
+    ``keys[0]``, then ``keys[1]``..., ties in input order.  Like ``_repeat_rank``
+    it sorts keys packed above the row index: all in one word when their bit
+    widths and the index's fit in 63 bits, else one word per key, least
+    significant first.  A negative key or one too wide to pack raises ValueError.
+    """
+    total = len(keys[0])
+    shift, index = total.bit_length(), np.arange(total)
+    bits = [int(key.max(initial=0)).bit_length() for key in keys]
+    if max(bits) + shift > 63 or min(int(key.min(initial=0)) for key in keys) < 0:
+        raise ValueError(f"sort keys out of range: {bits} bits, {total} rows")
+    if sum(bits) + shift <= 63:
+        packed = keys[0]
+        for key, width in zip(keys[1:], bits[1:]):
+            packed = (packed << width) | key
+        if (packed[1:] >= packed[:-1]).all():
+            return index  # already in order
+        keys = (packed,)
+    mask = (1 << shift) - 1
+    order = np.sort((keys[-1] << shift) | index) & mask
+    for key in keys[-2::-1]:
+        order = order[np.sort((key[order] << shift) | index) & mask]
+    return order
+
+
 class _Growth:
     """One call's growth, written into preallocated arrays.
 
@@ -649,18 +675,17 @@ class SampleLog:
                 if header != _CSV_HEADER:
                     raise ValueError(f"{path}: unexpected sample log header {header}")
                 # np.loadtxt skips empty lines, but warns on a body of nothing else
-                body = fh.tell()
-                while (line := fh.readline()) == "\n":
-                    body = fh.tell()
-                if not line:
-                    return cls.empty()
-                fh.seek(body)
-                try:
-                    rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-                except UnicodeDecodeError:
-                    raise
-                except ValueError as exc:
-                    raise ValueError(f"{path}: malformed row: {exc}") from exc
+                body = next((line for line in fh if line != "\n"), "")
+            if not body:
+                return cls.empty()
+            try:
+                # numpy parses a file it opens itself faster than an open one
+                rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, comments=None,
+                                  skiprows=1, encoding="ascii")
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed row: {exc}") from exc
         except UnicodeDecodeError:
             raise ValueError(f"{path}: malformed row: a sample log is ASCII text") from None
         if rows.shape[1] != len(_CSV_HEADER):
@@ -720,88 +745,70 @@ def _is_space(cp: np.ndarray) -> np.ndarray:
     return space
 
 
-def _sort_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the columns of a (words, n) key array into runs of equal columns.
-
-    Returns the sorting order, unstable (a run's members come in no set
-    order), and each run's start in it.  One word sorts by ``argsort``, more
-    by one ``lexsort`` with the first word the most significant.
-    """
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    ranked = keys[:, order]
-    head = np.ones(len(order), dtype=bool)
-    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=head[1:])
-    return order, np.flatnonzero(head)
-
-
-def _byte_keys(units: np.ndarray, width: int, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+def _byte_keys(units: list, width: int, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """(words, n) uint64 keys that sort the byte strings ``units[start * width:
-    end * width]`` as ``bytes`` sort.
+    end * width]``, ``units`` the listed uint8 arrays joined, as ``bytes`` sort.
 
     Each word holds 7 of a string's bytes, big-endian, above a low byte that
     counts how many of the 7 are the string's, so a string sorts before its
     extensions (``b"a"`` before ``b"a\\x00"``); words past the end are 0.
     """
-    buf = np.zeros(len(units) + 8, dtype=np.uint8)
-    buf[:len(units)] = units
+    buf = np.zeros(sum(map(len, units)) + 8, dtype=np.uint8)
+    np.concatenate(units, out=buf[:-8])
     # the 8 bytes from each offset, as one big-endian word
-    window = np.ndarray((len(units) + 1,), dtype=">u8", buffer=buf, strides=(1,))
+    window = np.ndarray((len(buf) - 7,), dtype=">u8", buffer=buf, strides=(1,))
     size = (end - start) * width
     keys = np.empty((max(-(-int(size.max(initial=0)) // 7), 1), len(start)), dtype=np.uint64)
     for w, key in enumerate(keys):
         at = start * width + 7 * w
-        key[:] = window[np.minimum(at, len(units), out=at)]
+        key[:] = window[np.minimum(at, len(buf) - 8, out=at)]
         count = np.clip(size - 7 * w, 0, 7)
         key &= _KEEP[count]
         key |= count.view(np.uint64)
     return keys
 
 
-def _intern(text: str, units: np.ndarray, width: int, start: np.ndarray,
-            end: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct fields ``text[start:end]`` in ``str`` order, and each
-    field's index among them.
-
-    ``units`` holds each code point of ``text`` as ``width`` big-endian
-    bytes, so the fields' bytes sort as their strings do.  One sort of their
-    keys groups equal fields; only the first of each group is sliced out of
-    ``text``.
+def _intern(*files) -> tuple[list, np.ndarray]:
+    """The distinct fields of ``files`` in ``str`` order, and each field's index
+    among them, file after file.  A file is ``(text, cp, start, end)``: its code
+    points (uint8 if ASCII, else uint32) and fields ``text[start:end]``.  Each
+    code point becomes as many big-endian bytes as the widest needs, so one sort
+    of the fields' byte keys groups equal fields in ``str`` order: an argsort of
+    a one-word key, else a lexsort, the first word most significant.
     """
-    order, heads = _sort_groups(_byte_keys(units, width, start, end))
-    rank = np.zeros(len(order), dtype=np.int64)
-    rank[heads[1:]] = 1
-    np.cumsum(rank, out=rank)
-    codes = np.empty_like(rank)
-    codes[order] = rank
-    first = order[heads]
+    texts, cps, starts, ends = zip(*files)
+    width = max(1, (max(int(cp.max(initial=0)) for cp in cps).bit_length() + 7) // 8)
+    units = [cp if cp.itemsize == width else
+             cp.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - width:].ravel() for cp in cps]
+    at = np.cumsum([0, *map(len, texts)]).tolist()  # each text's offset in their join
+    start = np.concatenate([s + a for s, a in zip(starts, at)])
+    end = np.concatenate([e + a for e, a in zip(ends, at)])
+    keys = _byte_keys(units, width, start, end)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    head = np.ones(len(order), dtype=bool)
+    np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=head[1:])
+    codes = np.empty(len(order), dtype=np.int64)
+    codes[order] = np.cumsum(head) - 1
+    first, text = order[head], "".join(texts)
     return [text[i:j] for i, j in zip(start[first].tolist(), end[first].tolist())], codes
 
 
-def _read_pairs(path, expected: str, dated: bool = False) -> tuple[list, np.ndarray]:
-    """The two fields of each data line (not blank, not '#'), interned.
+def _pair_fields(path, expected: str, dated: bool = False) -> tuple[tuple, np.ndarray | None]:
+    """``(text, cp, start, end)`` for ``_intern`` of a two-field file: the
+    first field of each data line (not blank, not '#'), then, unless ``dated``,
+    the second; and if ``dated``, each second field as ``date.toordinal()``,
+    each distinct date string parsed once.  The first line without two fields,
+    or (if ``dated``) whose second field is not an ISO date, raises ParseError.
 
-    Returns the distinct fields in ``str`` order and a (2, lines) int64 array
-    of each line's fields as indices into them.  If ``dated``, the distinct
-    fields are the first fields only, and the second row holds each second
-    field's ISO date as ``date.toordinal()``, each distinct date string
-    parsed once.  The first line without two fields, or (if ``dated``) whose
-    second field is not an ISO date, raises ParseError.
-
-    The text is read as usual (locale decoding, universal newlines), then
-    held as one code point per array entry, uint8 if ASCII, else uint32.
-    Fields are the runs of code points that ``str.isspace`` rejects, lines
-    end at LF, and each line's first field is found by ``searchsorted``; no
-    ``str`` is made per field (see ``_intern``).
+    The text is read as usual (locale decoding, universal newlines) and held
+    as code points; fields are the runs that ``str.isspace`` rejects, lines end
+    at LF, and each line's first field is found by ``searchsorted``.
     """
     with open(path) as fh:
         text = fh.read()
-    if text.isascii():
-        cp = units = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        width = 1
-    else:
-        cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        width = 1 if cp.max() < 0x100 else 2 if cp.max() < 0x10000 else 3
-        units = cp.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - width:].ravel()
+    cp = (np.frombuffer(text.encode("ascii"), dtype=np.uint8) if text.isascii() else
+          np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32))
     bounds = np.flatnonzero(np.diff(~_is_space(cp), prepend=False, append=False))
     start, end = bounds[0::2], bounds[1::2]
     newlines = np.flatnonzero(cp == ord("\n"))
@@ -823,8 +830,7 @@ def _read_pairs(path, expected: str, dated: bool = False) -> tuple[list, np.ndar
         raise ParseError(f"{path}:{number + 1}: {error}") from cause
 
     if dated:
-        labels, ids = _intern(text, units, width, start[first], end[first])
-        days, day_code = _intern(text, units, width, start[first + 1], end[first + 1])
+        days, day_code = _intern((text, cp, start[first + 1], end[first + 1]))
         ordinal, causes = np.zeros(len(days), dtype=np.int64), {}
         for i, day in enumerate(days):
             try:
@@ -839,10 +845,18 @@ def _read_pairs(path, expected: str, dated: bool = False) -> tuple[list, np.ndar
     if bad < len(heads):
         fail(bad)
     if dated:
-        return labels, np.stack([ids, ordinal[day_code]])
+        return (text, cp, start[first], end[first]), ordinal[day_code]
     fields = np.concatenate([first, first + 1])
-    labels, codes = _intern(text, units, width, start[fields], end[fields])
-    return labels, codes.reshape(2, -1)
+    return (text, cp, start[fields], end[fields]), None
+
+
+def _read_pairs(path, expected: str, dated: bool = False) -> tuple[list, np.ndarray]:
+    """``_pair_fields`` interned: the distinct fields in ``str`` order and a
+    (2, lines) int64 array of each line's two fields as indices into them, or,
+    if ``dated``, of its first field's index and its date ordinal."""
+    fields, ordinal = _pair_fields(path, expected, dated)
+    labels, codes = _intern(fields)
+    return labels, np.stack([codes, ordinal]) if dated else codes.reshape(2, -1)
 
 
 def read_seed_spec(path) -> SeedSpec:
@@ -851,10 +865,8 @@ def read_seed_spec(path) -> SeedSpec:
     Nodes come in order of first appearance, ``src`` before ``dst``.
     """
     labels, pairs = _read_pairs(path, "src dst")
-    ends = pairs.T.ravel()
-    order, heads = _sort_groups(ends[None])
-    # a run of equal ends is one label, so runs are in label order
-    nodes = np.argsort(np.minimum.reduceat(order, heads))
+    # each label's first appearance, as a src or then a dst
+    nodes = np.argsort(np.unique(pairs.T.ravel(), return_index=True)[1])
     name = labels.__getitem__
     return SeedSpec(tuple(map(name, nodes.tolist())),
                     tuple(zip(map(name, pairs[0].tolist()), map(name, pairs[1].tolist()))))

@@ -18,8 +18,8 @@ OUTPUTS = {
     **{f"{call}-{a}": ESTIMATE for call in ("estimate", "snapshot") for a in ("0", "0.6", "1")},
     "trace-0.6": ["estimate.json", "manifest.json", "trace.csv"],
     "dist": ["empirical.csv", "manifest.json", "theory.csv"],
-    "cite": ["ccdf.csv", "estimates.json", "manifest.json", "replay_manifest.json",
-             "samplelog.csv"],
+    **{call: ["ccdf.csv", "estimates.json", "manifest.json", "replay_manifest.json",
+              "samplelog.csv"] for call in ("cite", "cite-mixed")},
 }
 
 

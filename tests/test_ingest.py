@@ -333,6 +333,48 @@ class TestAgainstOracle:
         assert result.citations_per_step.tolist() == [len(c) for _, c in built[1]]
 
 
+
+ASCII_IDS = ["a", "b", "ab", "b\x7f", "10", "9"]
+#: ids with 1-, 2- and 3-byte code points, some extending an ASCII id
+WIDE_IDS = ["é", "aé", "中", "a中", "𝔘", "b𝔘"]
+
+
+class TestMixedWidths:
+    """Both files' ids are interned in one pass, so an ASCII file's code units
+    are widened to the other file's before their keys are compared."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), wide=st.sampled_from(["edges", "dates"]))
+    def test_one_non_ascii_file_matches_oracle(self, data, wide):
+        def ids(name):
+            return st.sampled_from(ASCII_IDS + WIDE_IDS if name == wide else ASCII_IDS)
+
+        pairs = data.draw(st.lists(st.tuples(ids("edges"), ids("edges")), max_size=30))
+        dated = data.draw(st.lists(ids("dates"), max_size=15))
+        # the wide file holds at least one non-ASCII id
+        forced = data.draw(st.sampled_from(WIDE_IDS))
+        if wide == "edges":
+            pairs.append((forced, data.draw(ids("dates"))))
+        else:
+            dated.append(forced)
+        days = data.draw(st.lists(st.sampled_from(DAYS), min_size=len(dated),
+                                  max_size=len(dated)))
+        with tempfile.TemporaryDirectory() as tmp:
+            edges, dates = os.path.join(tmp, "e.txt"), os.path.join(tmp, "d.txt")
+            for path, rows in ((edges, [f"{u} {v}" for u, v in pairs]),
+                               (dates, [f"{p}\t{d.isoformat()}" for p, d in zip(dated, days)])):
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write("".join(row + "\n" for row in rows))
+            with open(edges, encoding="utf-8") as e, open(dates, encoding="utf-8") as d:
+                assert [e.read().isascii(), d.read().isascii()] == [wide == "dates",
+                                                                     wide == "edges"]
+            want_edges, want_dates, *counts = oracle_load(edges, dates)
+            ds = load_dataset(edges, dates)
+        assert (ds.edges, ds.dates) == (want_edges, want_dates)
+        assert [ds.duplicate_edges_dropped, ds.self_citations_dropped,
+                ds.undated_citing_dropped] == counts
+        assert ds.labels == sorted({p for pair in pairs for p in pair} | set(dated))
+
 class TestCiteFuzz:
     FRAGMENTS = ["a", "b", "c", "#", " ", "\t", "\n", "\r\n", "2000-01-01", "2000-01-02",
                  "2000-02-30", "x", "é", "\x00", "\x0c", " "]

@@ -20,7 +20,12 @@ side's own directory under a temporary one:
 - ``estimate --method mle --trace --stride 100`` on the alpha 0.6 log, the
   longest chain of warm-started prefix solves;
 - ``dist --m 5 --m-hat 3 --alpha 0.6 --k-max 45 --ensemble 3 --workers 2``;
-- ``cite`` on the seed-0 pair of ``perfbench/inputs.py`` (10,000 papers).
+- ``cite`` on the seed-0 pair of ``perfbench/inputs.py`` (10,000 papers);
+- ``cite-mixed``: ``cite --cutoff 2001-01-10 --m 2 --m-hat 0`` on a small
+  hand-written pair (``CITE_EDGES``, ``CITE_DATES``) with CRLF line ends, an id
+  with a two-byte code point that only the dates file holds (so the ASCII edge
+  file's ids are interned at the wider width), a paper dated twice, a
+  duplicate pair, a self-citation, an undated citer and two same-day ties.
 
 The estimator calls read logs that no mixnet growth kernel made: each is
 written once by ``perfbench/inputs.py``'s ``growth_log`` (seed 1, m=5,
@@ -53,14 +58,23 @@ SEED_FILE = ("# seed: src dst\r\n\r\npaperB paperA\r\n  # indented comment\r\n"
              "paperC\tpaperA\r\npaperC paperB\r\nPapier\u00c4 paperC\r\n"
              "paperA Papier\u00c4\r\npaperA paperB\r\n")
 
+#: a citation pair in the SNAP grammar, written with these bytes
+CITE_EDGES = ("# citing cited\r\nP2 P1\r\nP3 P1\r\nP3 P2\r\nP4 P1\r\nP4 P3\r\nP4 P3\r\n"
+              "P5 P5\r\nX9 P1\r\nP5 P1\r\nP5 P4\r\nP6 P1\r\nP6 P5\r\nP6 P2\r\nP7 P1\r\n"
+              "P7 P4\r\n")
+CITE_DATES = ("# id date\r\nP1\t2001-01-01\r\nP2\t2001-01-05\r\nP4\t2001-02-01\r\n"
+              "P3\t2001-02-01\r\n\u01411\t2001-02-15\r\nP5\t2001-03-01\r\nP6\t2001-03-02\r\n"
+              "P7\t2001-03-02\r\nP2\t2001-01-03\r\n")
+
 
 class CallFailed(Exception):
     """A call exited non-zero, so there is nothing to compare."""
 
 
-def calls(steps: int, cite_argv: list, seed_path: str, logs: dict) -> list:
+def calls(steps: int, cite_argv: list, seed_path: str, logs: dict, mixed: list) -> list:
     """(output directory, mixnet argv) of each call, in run order; ``logs``
-    maps each alpha to the sample log its estimator calls read."""
+    maps each alpha to the sample log its estimator calls read, and ``mixed``
+    is the edge and dates paths of ``cite-mixed``."""
     out = []
     for alpha in ALPHAS:
         out.append((f"simulate-{alpha}", [
@@ -82,6 +96,8 @@ def calls(steps: int, cite_argv: list, seed_path: str, logs: dict) -> list:
     out.append(("dist", ["dist", "--m", "5", "--m-hat", "3", "--alpha", "0.6", "--k-max", "45",
                          "--ensemble", "3", "--workers", "2", "--steps", str(steps)]))
     out.append(("cite", cite_argv))
+    out.append(("cite-mixed", ["cite", *mixed, "--cutoff", "2001-01-10", "--m", "2",
+                               "--m-hat", "0"]))
     return out
 
 
@@ -134,11 +150,14 @@ def main(argv=None) -> int:
             inputs.growth_log(1, args.steps, 5, 3, float(alpha), 3).write_csv(logs[alpha])
         seed = data / "seed.edgelist"
         seed.write_bytes(SEED_FILE.encode("utf-8"))
+        mixed = [str(data / "mixed-edges.txt"), str(data / "mixed-dates.txt")]
+        for path, text in zip(mixed, (CITE_EDGES, CITE_DATES)):
+            Path(path).write_bytes(text.encode("utf-8"))
         cite_argv = ["cite", str(data / "edges.txt"), str(data / "dates.txt"),
                      "--cutoff", pair.cutoff, "--m", "12", "--m-hat", "0"]
         try:
             differ = False
-            for name, call in calls(args.steps, cite_argv, str(seed), logs):
+            for name, call in calls(args.steps, cite_argv, str(seed), logs, mixed):
                 dirs = {side: work / side for side in sides}
                 stdout = {}
                 for side, src in sides.items():

@@ -32,8 +32,18 @@ mixnet's growth kernel):
 - ``solve-0.6``: the MLE's solve alone, ``likelihood._maximize`` on that log;
 - ``prefix-S-A``: ``prefix_estimates`` at stride S on that log;
 - ``step-0.6``: ``step_estimates``;
-- ``cite-mle``: ``mle_estimate`` on the ``cite`` log of the seed-0 pair of
-  ``perfbench/inputs.py`` (``--papers`` papers, default 10000);
+- ``cite-load``: ``ingest.load_dataset`` on the seed-0 citation pair of
+  ``perfbench/inputs.py`` (``--papers`` papers, default 10000); its result is
+  the dataset's labels, date ordinals, cleaned pairs and drop counts (its
+  ``dates`` follow from the labels and ordinals);
+- ``cite-replay``: ``build_replay`` and ``replay_to_samplelog`` on that
+  dataset at the pair's cutoff; its result is the log's columns, the final
+  in-degrees, the citations per step and the manifest;
+- ``cite-mle``: ``mle_estimate`` on that replay's log;
+- ``cite``: ``mixnet.cli.main`` on ``cite <edges> <dates> --cutoff <cutoff>
+  --m 12 --m-hat 0``, the call of perfbench's ``cite-replay`` workload; its
+  result is stdout and the bytes of ``ccdf.csv``, ``estimates.json``,
+  ``replay_manifest.json`` and ``samplelog.csv``;
 - ``trace`` and ``snapshot``: ``mixnet.cli.main`` on ``estimate <log>
   --trace`` (stride 100) and on ``estimate <log> --trace --snapshot-mode``,
   with the alpha 0.6 log written as CSV.
@@ -41,8 +51,12 @@ mixnet's growth kernel):
 It prints one JSON object: for each layer and side the median and quartiles
 of the timed call in seconds, the sha256 of the layer's result (its reprs,
 its arrays' bytes, or the bytes of the files ``main`` wrote), the
-``_derivative`` row passes per solve (0 for a growth or redraw layer, which
-solves nothing), and whether both sides' results are equal.
+``_derivative`` row passes per solve (0 for a layer that solves nothing: the
+growth, redraw, ``cite-load`` and ``cite-replay`` layers), and whether both
+sides' results are equal.  With two sides, each layer also reports in how
+many of its ``--reps`` pairs of runs (the i-th run of each side) the change's
+call was the faster, which a few-percent move can show when the quartiles of
+one-call timings overlap.
 """
 
 from __future__ import annotations
@@ -67,7 +81,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("grow-0", "grow-0.6", "grow-1", "grow-step", "redraw-2", "redraw-50",
           "redraw-2-bulk", "redraw-50-bulk", "mle-0", "mle-0.6", "mle-1", "solve-0.6",
           "prefix-100-0", "prefix-100-0.6", "prefix-100-1", "prefix-5000-0.6", "step-0.6",
-          "cite-mle", "trace", "snapshot")
+          "cite-load", "cite-replay", "cite-mle", "cite", "trace", "snapshot")
 
 
 def perfbench_inputs():
@@ -131,19 +145,61 @@ def redraw(steps: int, bulk: bool) -> list:
     raise AssertionError("the redraw bound was not reached")
 
 
-def cite_log(papers: int, work: Path):
+def cite_layer(stage: str, papers: int, work: Path):
+    """(call, solves) of a ``cite-*`` layer or of ``cite`` (``stage`` "")."""
+    from mixnet import likelihood
     from mixnet.ingest import build_replay, load_dataset, replay_to_samplelog
 
-    pair = perfbench_inputs().citation_data(0, papers, work / "edges.txt", work / "dates.txt")
-    cutoff = datetime.date.fromisoformat(pair.cutoff)
-    return replay_to_samplelog(build_replay(load_dataset(work / "edges.txt",
-                                                         work / "dates.txt"), cutoff)).sample_log
+    edges, dates = work / "edges.txt", work / "dates.txt"
+    cutoff = perfbench_inputs().citation_data(0, papers, edges, dates).cutoff
+    if stage == "load":
+        def load() -> list:
+            ds = load_dataset(edges, dates)
+            return [ds.labels, *(a.astype("<i8").tobytes() for a in (ds.day, ds.citing, ds.cited)),
+                    ds.duplicate_edges_dropped, ds.self_citations_dropped,
+                    ds.undated_citing_dropped]
+
+        return load, lambda result: 0
+    if stage == "":
+        argv = ["cite", str(edges), str(dates), "--cutoff", cutoff, "--m", "12", "--m-hat", "0"]
+        files = ("ccdf.csv", "estimates.json", "replay_manifest.json", "samplelog.csv")
+        return main_call(argv, work, files), lambda result: 1
+    ds, day = load_dataset(edges, dates), datetime.date.fromisoformat(cutoff)
+    if stage == "replay":
+        def replay() -> list:
+            result = replay_to_samplelog(build_replay(ds, day))
+            log = result.sample_log
+            return [*(a.astype("<i8").tobytes() for a in (log.step, log.k, log.e_prev, log.n_prev,
+                                                         result.in_degrees,
+                                                         result.citations_per_step)),
+                    result.manifest]
+
+        return replay, lambda result: 0
+    log = replay_to_samplelog(build_replay(ds, day)).sample_log
+    return lambda: [likelihood.mle_estimate(log).to_dict()], len
+
+
+def main_call(argv: list, work: Path, files: tuple):
+    """A call of ``mixnet.cli.main`` on ``argv`` into a fresh output directory;
+    its result is stdout and the bytes of ``files``."""
+    from mixnet.cli import main
+
+    runs = itertools.count()
+
+    def call() -> list:
+        out = work / f"out{next(runs)}"
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = main([*argv, "--out", str(out)])
+        if code:
+            raise RuntimeError(f"{' '.join(argv[:1])} exited {code}")
+        return [stdout.getvalue().encode(), *((out / name).read_bytes() for name in files)]
+
+    return call
 
 
 def prepare(layer: str, steps: int, papers: int, work: Path):
     """(call, solves): the timed callable and the number of solves a result holds."""
     from mixnet import likelihood
-    from mixnet.cli import main
 
     kind, *rest = layer.split("-")
     if kind == "grow" and rest == ["step"]:
@@ -166,22 +222,12 @@ def prepare(layer: str, steps: int, papers: int, work: Path):
         log = fig3_log(float(rest[0]), steps)
         return lambda: likelihood.step_estimates(log), len
     if kind == "cite":
-        log = cite_log(papers, work)
-        return lambda: [likelihood.mle_estimate(log).to_dict()], len
+        return cite_layer("".join(rest), papers, work)
     path = work / "samplelog.csv"
     fig3_log(0.6, steps).to_csv(path)
     argv = ["estimate", str(path), "--trace"] + (["--snapshot-mode"] if kind == "snapshot" else [])
-    runs = itertools.count()
-
-    def call():
-        out = work / f"out{next(runs)}"
-        with contextlib.redirect_stdout(io.StringIO()) as stdout:
-            main([*argv, "--out", str(out)])
-        files = [(out / name).read_bytes() for name in ("estimate.json", "trace.csv")]
-        return [stdout.getvalue().encode(), *files]
-
     # the trace's rows plus the full-log MLE
-    return call, lambda result: result[2].count(b"\n")
+    return main_call(argv, work, ("estimate.json", "trace.csv")), lambda r: r[2].count(b"\n")
 
 
 def worker(layer: str, steps: int, papers: int) -> dict:
@@ -268,6 +314,9 @@ def main(argv=None) -> int:
                            "sha256": digests.pop() if len(digests) == 1 else "varies",
                            "passes_per_solve": results[0]["passes_per_solve"]}
         entry["same"] = len({entry[side]["sha256"] for side in by_side}) == 1
+        if "change" in by_side:
+            entry["change_faster_pairs"] = sum(
+                c["seconds"] < b["seconds"] for b, c in zip(by_side["base"], by_side["change"]))
         report["layers"][layer] = entry
     print(json.dumps(report, indent=1))
     return 0
