@@ -282,27 +282,20 @@ def _repeat_rank(value: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _stable_order(*keys: np.ndarray) -> np.ndarray:
     """``np.lexsort(keys[::-1])`` of non-negative int64 keys: the order by
     ``keys[0]``, then ``keys[1]``..., ties in input order.  Like ``_repeat_rank``
-    it sorts keys packed above the row index: all in one word when their bit
-    widths and the index's fit in 63 bits, else one word per key, least
-    significant first.  A negative key or one too wide to pack raises ValueError.
+    it makes one sort of the keys packed above the row index when their bit
+    widths and the index's fit in 63 bits, else it calls ``np.lexsort``.  A
+    negative key raises ValueError.
     """
-    total = len(keys[0])
-    shift, index = total.bit_length(), np.arange(total)
+    shift = len(keys[0]).bit_length()
+    if min(int(key.min(initial=0)) for key in keys) < 0:
+        raise ValueError("sort keys must be non-negative")
     bits = [int(key.max(initial=0)).bit_length() for key in keys]
-    if max(bits) + shift > 63 or min(int(key.min(initial=0)) for key in keys) < 0:
-        raise ValueError(f"sort keys out of range: {bits} bits, {total} rows")
-    if sum(bits) + shift <= 63:
-        packed = keys[0]
-        for key, width in zip(keys[1:], bits[1:]):
-            packed = (packed << width) | key
-        if (packed[1:] >= packed[:-1]).all():
-            return index  # already in order
-        keys = (packed,)
-    mask = (1 << shift) - 1
-    order = np.sort((keys[-1] << shift) | index) & mask
-    for key in keys[-2::-1]:
-        order = order[np.sort((key[order] << shift) | index) & mask]
-    return order
+    if sum(bits) + shift > 63:
+        return np.lexsort(keys[::-1])
+    packed = keys[0]
+    for key, width in zip(keys[1:], bits[1:]):
+        packed = (packed << width) | key
+    return np.sort((packed << shift) | np.arange(len(packed))) & ((1 << shift) - 1)
 
 
 class _Growth:
@@ -746,15 +739,18 @@ def _is_space(cp: np.ndarray) -> np.ndarray:
 
 
 def _byte_keys(units: list, width: int, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """(words, n) uint64 keys that sort the byte strings ``units[start * width:
-    end * width]``, ``units`` the listed uint8 arrays joined, as ``bytes`` sort.
+    """(words, n) uint64 keys that sort the byte strings ``units[start:end]``,
+    ``units`` the listed (code points, bytes) uint8 arrays joined, each row's
+    bytes big-endian and right-aligned in ``width``, as ``bytes`` sort.
 
     Each word holds 7 of a string's bytes, big-endian, above a low byte that
     counts how many of the 7 are the string's, so a string sorts before its
     extensions (``b"a"`` before ``b"a\\x00"``); words past the end are 0.
     """
-    buf = np.zeros(sum(map(len, units)) + 8, dtype=np.uint8)
-    np.concatenate(units, out=buf[:-8])
+    rows = np.cumsum([0, *map(len, units)]).tolist()
+    buf = np.zeros(rows[-1] * width + 8, dtype=np.uint8)
+    for unit, row in zip(units, rows):
+        buf[:-8].reshape(-1, width)[row:row + len(unit), width - unit.shape[1]:] = unit
     # the 8 bytes from each offset, as one big-endian word
     window = np.ndarray((len(buf) - 7,), dtype=">u8", buffer=buf, strides=(1,))
     size = (end - start) * width
@@ -778,9 +774,10 @@ def _intern(*files) -> tuple[list, np.ndarray]:
     """
     texts, cps, starts, ends = zip(*files)
     width = max(1, (max(int(cp.max(initial=0)) for cp in cps).bit_length() + 7) // 8)
-    units = [cp if cp.itemsize == width else
-             cp.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - width:].ravel() for cp in cps]
-    at = np.cumsum([0, *map(len, texts)]).tolist()  # each text's offset in their join
+    units = [cp[:, None] if cp.itemsize == 1 else  # a uint32's bytes, low byte first
+             cp.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)[:, width - 1::-1]
+             for cp in cps]
+    at = np.cumsum([0, *map(len, texts)])  # each file's first code point in the join
     start = np.concatenate([s + a for s, a in zip(starts, at)])
     end = np.concatenate([e + a for e, a in zip(ends, at)])
     keys = _byte_keys(units, width, start, end)
@@ -790,8 +787,10 @@ def _intern(*files) -> tuple[list, np.ndarray]:
     np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=head[1:])
     codes = np.empty(len(order), dtype=np.int64)
     codes[order] = np.cumsum(head) - 1
-    first, text = order[head], "".join(texts)
-    return [text[i:j] for i, j in zip(start[first].tolist(), end[first].tolist())], codes
+    first = order[head]
+    file = np.searchsorted(at, start[first], side="right") - 1
+    lo, hi = (start[first] - at[file]).tolist(), (end[first] - at[file]).tolist()
+    return [texts[f][i:j] for f, i, j in zip(file.tolist(), lo, hi)], codes
 
 
 def _pair_fields(path, expected: str, dated: bool = False) -> tuple[tuple, np.ndarray | None]:

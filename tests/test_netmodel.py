@@ -545,49 +545,42 @@ def test_repeat_rank_matches_counter(offsets, near_bound):
 
 @st.composite
 def sort_keys(draw):
-    """(keys, wide, in_order): 1 to 3 int64 keys of one length (0 to 60) with
-    heavy ties.  ``wide`` keys sit just above 2**50, so two of them and the
-    row index overflow one 63-bit word and the order takes one sort per key;
-    ``in_order`` rows are already sorted, the early exit's case."""
+    """(keys, wide): 1 to 3 int64 keys of one length (0 to 60) with heavy ties.
+    ``wide`` keys sit just above 2**50, so two of them and the row index
+    overflow one 63-bit word and the order falls back to ``np.lexsort``."""
     count, total, wide = draw(st.integers(1, 3)), draw(st.integers(0, 60)), draw(st.booleans())
     keys = [np.array(draw(st.lists(st.integers(0, 3), min_size=total, max_size=total)),
                      dtype=np.int64) + (2**50 if wide else 0) for _ in range(count)]
-    in_order = draw(st.booleans())
-    if in_order:
-        keys = [key[np.lexsort(keys[::-1])] for key in keys]
-    return keys, wide, in_order
+    return keys, wide
 
 
 @settings(max_examples=300, deadline=None)
 @given(sort_keys())
-@example(([np.zeros(0, dtype=np.int64)], False, False))
-@example(([np.zeros(0, dtype=np.int64)] * 3, True, False))
-@example(([np.array([7])], False, False))
-@example(([np.array([2**50]), np.array([2**50 + 3])], True, False))
-@example(([np.array([3, 1, 3, 1, 0]), np.array([2, 2, 1, 2, 2])], False, False))
+@example(([np.zeros(0, dtype=np.int64)], False))
+@example(([np.zeros(0, dtype=np.int64)] * 3, True))
+@example(([np.array([7])], False))
+@example(([np.array([2**50]), np.array([2**50 + 3])], True))
+@example(([np.array([3, 1, 3, 1, 0]), np.array([2, 2, 1, 2, 2])], False))
 def test_stable_order_matches_lexsort(case):
-    keys, wide, in_order = case
-    sort = np.sort
-    with mock.patch.object(np, "sort", side_effect=sort) as sorts:
+    keys, wide = case
+    expect = np.lexsort(keys[::-1]).tolist()
+    lexsort = np.lexsort
+    with mock.patch.object(np, "lexsort", side_effect=lexsort) as lexsorts:
         order = _stable_order(*keys)
     assert order.dtype == np.int64
-    assert order.tolist() == np.lexsort(keys[::-1]).tolist()
-    if wide and len(keys) > 1 and len(keys[0]):
-        assert sorts.call_count == len(keys)  # one packed sort per key
-    elif in_order:
-        assert sorts.call_count == 0  # the early exit
-    else:
-        assert sorts.call_count <= 1  # none if the drawn rows are in order already
+    assert order.tolist() == expect
+    # one packed sort unless two wide keys overflow the word
+    assert lexsorts.call_count == (wide and len(keys) > 1 and len(keys[0]) > 0)
 
 
-def test_stable_order_rejects_keys_past_the_bound():
-    # three rows take 2 index bits, which leaves 61 for the key
+def test_stable_order_bounds():
+    # three rows take 2 index bits, which leaves 61 for the packed keys
     assert _stable_order(np.array([2**61 - 1, 0, 5])).tolist() == [1, 2, 0]
+    assert _stable_order(np.array([2**62, 0, 5])).tolist() == [1, 2, 0]
     assert _stable_order(np.array([2**61 - 1, 0, 5]), np.array([2**61 - 1, 1, 1])).tolist() \
         == [1, 2, 0]
-    for keys in ([np.array([2**61, 0, 5])], [np.array([0, 1, 2]), np.array([2**62, 0, 0])],
-                 [np.array([1, -1, 0])], [np.array([1, 2, 3]), np.array([0, -5, 0])]):
-        with pytest.raises(ValueError, match="sort keys out of range"):
+    for keys in ([np.array([1, -1, 0])], [np.array([1, 2, 3]), np.array([0, -5, 0])]):
+        with pytest.raises(ValueError, match="non-negative"):
             _stable_order(*keys)
 
 class TestSampleLog:
