@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .degree_dist import StationaryDistribution, ccdf_from_indegrees
-from .em import EmConfig, em_estimate
+from .em import EmConfig, em_setup
 from .ingest import build_replay, load_dataset, replay_to_samplelog
 from .likelihood import mle_estimate, prefix_estimates, step_estimates
 from .netmodel import (
@@ -120,24 +120,30 @@ def cmd_estimate(args, run: _Run) -> None:
     if args.method in ("mle", "both"):
         # k=0 records stay in the MLE input: they contribute roots at 1
         result["mle"] = mle_estimate(sample_log).to_dict()
-    if args.method in ("em", "both"):
-        trace = em_estimate(sample_log, cfg)
+    from concurrent.futures import ThreadPoolExecutor
+
+    # EM iterates on a worker while this thread runs the trace
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        em_job = pool.submit(em_setup(sample_log, cfg)) if args.method != "mle" else None
+        try:
+            if args.trace and args.snapshot_mode:
+                rows = step_estimates(sample_log)
+            elif args.trace:
+                # a replayed log starts at its first arrival that cites anything
+                # (the estimates above have rejected an empty log)
+                first = int(sample_log.step[0])
+                start = -(-first // args.stride) * args.stride
+                steps = range(start, sample_log.n_steps + 1, args.stride)
+                rows = list(zip(steps, prefix_estimates(sample_log, steps)))
+        finally:
+            trace = em_job.result() if em_job else None  # EM's error goes before the trace's
+    if trace is not None:
         result["em"] = {
             "alpha_hat": trace.final_alpha,
             "converged": trace.converged,
             "iterations": len(trace.iterations) - 1,
             "loglik": trace.iterations[-1][1],
         }
-    if args.trace:
-        if args.snapshot_mode:
-            rows = step_estimates(sample_log)
-        else:
-            # a replayed log starts at its first arrival that cites anything
-            # (the estimates above have rejected an empty log)
-            first = int(sample_log.step[0])
-            start = -(-first // args.stride) * args.stride
-            steps = range(start, sample_log.n_steps + 1, args.stride)
-            rows = list(zip(steps, prefix_estimates(sample_log, steps)))
 
     if "em" in result:
         run.write_csv("em_trace.csv", ["iter", "alpha", "loglik"],
@@ -207,11 +213,19 @@ def cmd_cite(args, run: _Run) -> None:
         else replay.sample_log.drop_zero_indegree()
     )
     mle_report = mle_estimate(mle_log)
-    em_trace = em_estimate(replay.sample_log, em_cfg)
+    from concurrent.futures import ThreadPoolExecutor
+
+    # EM iterates on a worker while this thread does the work that does not need it
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        em_job = pool.submit(em_setup(replay.sample_log, em_cfg))
+        try:
+            k_max = args.k_max or int(replay.in_degrees.max())
+            emp_ccdf = ccdf_from_indegrees(replay.in_degrees, k_max)
+            samplelog_csv = replay.sample_log.csv_bytes()
+        finally:
+            em_trace = em_job.result()  # EM's error goes first, as when it ran first
 
     # theoretical overlays at both estimates (1 up to m_hat) against the empirical ccdf
-    k_max = args.k_max or int(replay.in_degrees.max())
-    emp_ccdf = ccdf_from_indegrees(replay.in_degrees, k_max)
     overlays = {}
     for name, alpha_hat in (("mle", mle_report.alpha_hat), ("em", em_trace.final_alpha)):
         overlays[name] = np.ones(k_max + 1)
@@ -219,7 +233,7 @@ def cmd_cite(args, run: _Run) -> None:
             overlay = ModelParams(m=args.m, m_hat=args.m_hat, alpha=alpha_hat)
             overlays[name][args.m_hat:] = StationaryDistribution(overlay).ccdf_array(k_max)
 
-    replay.sample_log.to_csv(run.path("samplelog.csv"))
+    Path(run.path("samplelog.csv")).write_bytes(samplelog_csv)
     run.write_json("estimates.json", {
         "mle": mle_report.to_dict(),
         "em": {

@@ -9,10 +9,11 @@ increases the incomplete log-likelihood and converges by its concavity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .likelihood import _slope_intercept, _sum_log_factors
+from .likelihood import _sum_log_factors
 from .netmodel import AttachmentRecord, SampleLog
 
 #: a decrease of the objective beyond this slack indicates a bug
@@ -35,10 +36,11 @@ class EmConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-def _mixture(ke, n_prev, alpha: float):
-    """Preferential and full mixture densities of a record or of arrays of them."""
-    pref = ke * alpha
-    return pref, pref + (1.0 - alpha) / n_prev
+def _mixture(ke, n_prev, alpha: float, pref=None, total=None):
+    """Preferential and full mixture densities of a record or of arrays of
+    them, written into the arrays ``pref`` and ``total`` if given."""
+    pref = np.multiply(ke, alpha, out=pref)
+    return pref, np.add(pref, np.divide(1.0 - alpha, n_prev, out=total), out=total)
 
 
 def responsibility(record: AttachmentRecord, alpha: float) -> float:
@@ -48,7 +50,7 @@ def responsibility(record: AttachmentRecord, alpha: float) -> float:
         raise ValueError(
             f"zero mixture density for record {record} at alpha={alpha}"
         )
-    return pref / total
+    return float(pref / total)
 
 
 def em_step(log: SampleLog, alpha: float) -> float:
@@ -72,34 +74,39 @@ class EmTrace:
     final_alpha: float = float("nan")
 
 
-def em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:
-    """Iterate the EM update from alpha_init until |delta alpha| < epsilon.
-
-    Records with k = 0 are dropped by default (they carry no preferential
-    mass and their responsibility is identically 0); set
-    ``cfg.keep_zero_indegree`` to include them.  The per-record coefficients
-    are computed once; each iteration does the E-step of ``em_step``
-    (``_mixture``) and the objective of ``log_likelihood`` on them.
-    """
+def em_setup(log: SampleLog, cfg: EmConfig = EmConfig()):
+    """``em_estimate``'s checks, coefficients and two work buffers; returns its
+    iteration step, a call that allocates no arrays, for another thread to run.
+    Records with k = 0 (no preferential mass, responsibility identically 0) are
+    dropped unless ``cfg.keep_zero_indegree``."""
     if len(log) == 0:
         raise ValueError("cannot estimate from an empty log")
-    if not cfg.keep_zero_indegree:
-        log = log.drop_zero_indegree()
-        if len(log) == 0:
-            raise ValueError("log contains only zero-in-degree records")
+    kept = (log.k > 0) | cfg.keep_zero_indegree
+    if not kept.any():
+        raise ValueError("log contains only zero-in-degree records")
+    ke = log.k[kept] / log.e_prev[kept]
+    n_prev = log.n_prev[kept].astype(np.float64)
+    c = 1.0 / n_prev
+    d = ke - c  # _slope_intercept's coefficients
+    return partial(_em_iterate, log, kept, ke, n_prev, d, c, *np.empty((2, len(ke))), cfg)
 
-    ke = log.k / log.e_prev
-    n_prev = log.n_prev.astype(np.float64)
-    d, c = _slope_intercept(log)
+
+def _em_iterate(log, kept, ke, n_prev, d, c, a, b, cfg: EmConfig) -> EmTrace:
+    """The EM iterations on the ``kept`` records of ``log``: the E-step of ``em_step``
+    (``_mixture``) and the objective of ``log_likelihood``, into ``a`` and ``b``."""
+    def loglik_at(alpha: float) -> float:
+        factors = np.add(np.multiply(d, alpha, out=a), c, out=a)
+        return _sum_log_factors(log, factors, alpha, out=b, kept=kept)
+
     trace = EmTrace()
     alpha = cfg.alpha_init
-    prev_loglik = _sum_log_factors(log, d * alpha + c, alpha)
+    prev_loglik = loglik_at(alpha)
     trace.iterations.append((alpha, prev_loglik))
     for _ in range(cfg.max_iter):
         # the mixture densities are the factors the objective at alpha checked
-        pref, total = _mixture(ke, n_prev, alpha)
-        new_alpha = float((pref / total).mean())
-        loglik = _sum_log_factors(log, d * new_alpha + c, new_alpha)
+        pref, total = _mixture(ke, n_prev, alpha, a, b)
+        new_alpha = float(np.divide(pref, total, out=a).mean())
+        loglik = loglik_at(new_alpha)
         if loglik < prev_loglik - MONOTONICITY_SLACK:
             raise RuntimeError(
                 f"EM objective decreased from {prev_loglik} to {loglik}; "
@@ -113,3 +120,8 @@ def em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:
             break
     trace.final_alpha = alpha
     return trace
+
+
+def em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:
+    """Iterate the EM update from alpha_init until |delta alpha| < epsilon."""
+    return em_setup(log, cfg)()

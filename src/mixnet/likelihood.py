@@ -65,16 +65,18 @@ def log_likelihood(log: SampleLog, alpha: float) -> float:
     return _sum_log_factors(log, d * alpha + c, alpha)
 
 
-def _sum_log_factors(log: SampleLog, factors: np.ndarray, alpha: float) -> float:
-    """Sum of log factors; a non-positive or non-finite factor raises EvaluationError."""
+def _sum_log_factors(log: SampleLog, factors, alpha: float, out=None, kept=None) -> float:
+    """Sum of log factors (logged into ``out``) of the records of ``log`` that the mask
+    ``kept`` marks (default all); a non-positive or non-finite factor raises EvaluationError."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        total = float(np.log(factors).sum())
+        total = float(np.log(factors, out=out).sum())
     if not math.isfinite(total):  # the log of a bad factor is -inf, inf or nan
         i = int(np.argmax((factors <= 0) | ~np.isfinite(factors)))
+        j = i if kept is None else int(np.flatnonzero(kept)[i])
         raise EvaluationError(
             f"{'non-positive' if factors[i] <= 0 else 'non-finite'} likelihood factor at "
-            f"alpha={alpha} for record {i} (k={log.k[i]}, e_prev={log.e_prev[i]}, "
-            f"n_prev={log.n_prev[i]})",
+            f"alpha={alpha} for record {i} (k={log.k[j]}, e_prev={log.e_prev[j]}, "
+            f"n_prev={log.n_prev[j]})",
             record_index=i,
         )
     return total

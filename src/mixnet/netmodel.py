@@ -651,12 +651,16 @@ class SampleLog:
         mask = self.k > 0
         return SampleLog(self.k[mask], self.e_prev[mask], self.n_prev[mask], self.step[mask])
 
-    def to_csv(self, path) -> None:
+    def csv_bytes(self) -> bytearray:
         columns = (self.step, self.k, self.e_prev, self.n_prev)
+        out = bytearray((",".join(_CSV_HEADER) + "\r\n").encode())  # grown in place
+        for i in range(0, len(self), _CSV_CHUNK):
+            out += _csv_rows([a[i:i + _CSV_CHUNK] for a in columns], ",", "\r\n")
+        return out
+
+    def to_csv(self, path) -> None:
         with open(path, "wb") as fh:
-            fh.write((",".join(_CSV_HEADER) + "\r\n").encode())
-            for i in range(0, len(self), _CSV_CHUNK):
-                fh.write(_csv_rows([a[i:i + _CSV_CHUNK] for a in columns], ",", "\r\n"))
+            fh.write(self.csv_bytes())
 
     @classmethod
     def from_csv(cls, path) -> "SampleLog":
@@ -849,13 +853,11 @@ def _pair_fields(path, expected: str, dated: bool = False) -> tuple[tuple, np.nd
     return (text, cp, start[fields], end[fields]), None
 
 
-def _read_pairs(path, expected: str, dated: bool = False) -> tuple[list, np.ndarray]:
+def _read_pairs(path, expected: str) -> tuple[list, np.ndarray]:
     """``_pair_fields`` interned: the distinct fields in ``str`` order and a
-    (2, lines) int64 array of each line's two fields as indices into them, or,
-    if ``dated``, of its first field's index and its date ordinal."""
-    fields, ordinal = _pair_fields(path, expected, dated)
-    labels, codes = _intern(fields)
-    return labels, np.stack([codes, ordinal]) if dated else codes.reshape(2, -1)
+    (2, lines) int64 array of each line's two fields as indices into them."""
+    labels, codes = _intern(_pair_fields(path, expected)[0])
+    return labels, codes.reshape(2, -1)
 
 
 def read_seed_spec(path) -> SeedSpec:

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from mixnet import GrowingNetwork, ModelParams, SampleLog, SeedSpec, grow_sequence, make_rng
-from mixnet.likelihood import BISECTION_WIDTH, INTERIOR_MARGIN, _derivative
-from mixnet.netmodel import _CSV_CHUNK, _CSV_HEADER, ParseError, StructuralError
+from mixnet.em import MONOTONICITY_SLACK, EmConfig, EmTrace, _mixture
+from mixnet.likelihood import (BISECTION_WIDTH, INTERIOR_MARGIN, _derivative,
+                               _slope_intercept, _sum_log_factors)
+from mixnet.netmodel import (_CSV_CHUNK, _CSV_HEADER, ParseError, StructuralError, _intern,
+                             _pair_fields)
 
 
 def random_record(rng: random.Random, pool_bias: bool = False):
@@ -231,6 +234,53 @@ def reference_read_pairs(path, expected: str, dated: bool = False) -> tuple[list
         number = [i for i, line in enumerate(lines, start=1) if line and line[0] != "#"][bad]
         raise ParseError(f"{path}:{number}: {error}") from cause
     return first, second
+
+
+def read_pairs(path, expected: str, dated: bool = False) -> tuple[list, np.ndarray]:
+    """``netmodel._pair_fields`` interned by ``netmodel._intern``, the pair
+    reader the oracle above checks: the distinct fields in ``str`` order and a
+    (2, lines) int64 array of each line's two fields as indices into them, or,
+    if ``dated``, of its first field's index and its date ordinal."""
+    fields, ordinal = _pair_fields(path, expected, dated)
+    labels, codes = _intern(fields)
+    return labels, np.stack([codes, ordinal]) if dated else codes.reshape(2, -1)
+
+
+def reference_em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:
+    """``em.em_estimate`` before its split into a set-up and an iteration step
+    that writes into two buffers, kept verbatim as the split's oracle."""
+    if len(log) == 0:
+        raise ValueError("cannot estimate from an empty log")
+    if not cfg.keep_zero_indegree:
+        log = log.drop_zero_indegree()
+        if len(log) == 0:
+            raise ValueError("log contains only zero-in-degree records")
+
+    ke = log.k / log.e_prev
+    n_prev = log.n_prev.astype(np.float64)
+    d, c = _slope_intercept(log)
+    trace = EmTrace()
+    alpha = cfg.alpha_init
+    prev_loglik = _sum_log_factors(log, d * alpha + c, alpha)
+    trace.iterations.append((alpha, prev_loglik))
+    for _ in range(cfg.max_iter):
+        # the mixture densities are the factors the objective at alpha checked
+        pref, total = _mixture(ke, n_prev, alpha)
+        new_alpha = float((pref / total).mean())
+        loglik = _sum_log_factors(log, d * new_alpha + c, new_alpha)
+        if loglik < prev_loglik - MONOTONICITY_SLACK:
+            raise RuntimeError(
+                f"EM objective decreased from {prev_loglik} to {loglik}; "
+                "this violates EM monotonicity and indicates a bug"
+            )
+        trace.iterations.append((new_alpha, loglik))
+        delta = abs(new_alpha - alpha)
+        alpha, prev_loglik = new_alpha, loglik
+        if delta < cfg.epsilon:
+            trace.converged = True
+            break
+    trace.final_alpha = alpha
+    return trace
 
 
 def reference_lockstep_maximize(d: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from unittest import mock
 
@@ -794,6 +795,59 @@ def test_manifest_records_outputs_and_every_flag(tmp_path, samplelog, argv, outp
     if argv[0] == "simulate":
         flags.update(nodes=4 + 30, edges=12 + 30 * 2)
     assert manifest["params"] == flags
+
+
+class TestEmWorker:
+    """``cite`` and ``estimate`` run EM's iteration step on one worker thread."""
+
+    @pytest.fixture
+    def failing_em(self, monkeypatch):
+        """EM's iteration step raises; the threads it ran on are returned."""
+        threads = []
+
+        def fail(*args):
+            threads.append(threading.current_thread())
+            raise RuntimeError("EM failed on the worker")
+
+        monkeypatch.setattr(mixnet.em, "_em_iterate", fail)
+        return threads
+
+    @pytest.mark.parametrize("other_fails", [False, True])
+    def test_cite_exits_1_without_output_dir(self, tmp_path, capsys, monkeypatch, failing_em,
+                                             other_fails):
+        if other_fails:  # the work this thread does meanwhile fails too
+            monkeypatch.setattr(mixnet.cli, "ccdf_from_indegrees",
+                                mock.Mock(side_effect=ValueError("ccdf failed")))
+        edges, dates = tmp_path / "e.txt", tmp_path / "d.txt"
+        for path, text in zip((edges, dates), TestCite.pinned_corpus()):
+            path.write_bytes(text.encode())
+        out = tmp_path / "out"
+        assert run(["cite", edges, dates, "--cutoff", "2000-01-02", "--m", 3,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == "mixnet: error: EM failed on the worker\n"
+        assert not out.exists()
+        assert len(failing_em) == 1 and failing_em[0] is not threading.main_thread()
+
+    @pytest.mark.parametrize("trace_fails", [False, True])
+    def test_estimate_trace_exits_1_with_em_error(self, tmp_path, capsys, monkeypatch, samplelog,
+                                                  failing_em, trace_fails):
+        if trace_fails:
+            monkeypatch.setattr(mixnet.cli, "prefix_estimates",
+                                mock.Mock(side_effect=ValueError("trace failed")))
+        out = tmp_path / "out"
+        assert run(["estimate", samplelog, "--trace", "--stride", 20, "--out", out]) == 1
+        assert capsys.readouterr().err == "mixnet: error: EM failed on the worker\n"
+        assert not out.exists()
+        assert len(failing_em) == 1 and failing_em[0] is not threading.main_thread()
+
+    def test_trace_error_reported_when_em_succeeds(self, tmp_path, capsys, monkeypatch,
+                                                   samplelog):
+        monkeypatch.setattr(mixnet.cli, "prefix_estimates",
+                            mock.Mock(side_effect=ValueError("trace failed")))
+        out = tmp_path / "out"
+        assert run(["estimate", samplelog, "--trace", "--out", out]) == 1
+        assert capsys.readouterr().err == "mixnet: error: trace failed\n"
+        assert not out.exists()
 
 
 def test_import_loads_no_scipy_or_process_pool():

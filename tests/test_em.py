@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixnet import (
     AttachmentRecord,
@@ -19,8 +21,9 @@ from mixnet import (
     responsibility,
 )
 from mixnet.cli import main
+from mixnet.likelihood import EvaluationError, _sum_log_factors
 
-from conftest import random_log
+from conftest import random_log, reference_em_estimate
 
 
 class TestResponsibility:
@@ -158,3 +161,54 @@ class TestEmEstimate:
         lines = (out / "em_trace.csv").read_text().strip().splitlines()
         assert lines[0] == "iter,alpha,loglik"
         assert len(lines) == len(trace.iterations) + 1
+
+
+def _outcome(estimate, log, cfg):
+    """The trace's bits, or the error's type and text."""
+    try:
+        trace = estimate(log, cfg)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return (np.array(trace.iterations).tobytes(), trace.converged,
+            np.float64(trace.final_alpha).tobytes())
+
+
+@st.composite
+def em_inputs(draw):
+    """(log, cfg): up to 40 records with k = 0 common, sometimes none at all;
+    alpha_init sometimes outside (0, 1), set past ``EmConfig``'s check, so the
+    objective can fail at a known record."""
+    rows = draw(st.lists(st.tuples(st.just(0) | st.integers(0, 40), st.integers(1, 500),
+                                   st.integers(1, 60)), max_size=40))
+    k, e_prev, n_prev = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    log = SampleLog(np.minimum(k, e_prev), e_prev, n_prev, np.arange(1, len(rows) + 1))
+    cfg = EmConfig(epsilon=draw(st.sampled_from([1e-8, 1e-3, 0.5, 1e-15])),
+                   max_iter=draw(st.sampled_from([1, 2, 7, 10000])),
+                   keep_zero_indegree=draw(st.booleans()))
+    alpha = draw(st.sampled_from([0.5, 0.05, 0.97]) | st.floats(1e-6, 1 - 1e-6)
+                 | st.sampled_from([0.0, 1.0, -0.5, 1.5, -40.0]))
+    object.__setattr__(cfg, "alpha_init", alpha)
+    return log, cfg
+
+
+class TestSplitEmMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=em_inputs())
+    def test_trace_bits_and_errors(self, inputs):
+        log, cfg = inputs
+        with np.errstate(all="ignore"):  # alpha outside [0, 1] divides by zero
+            assert _outcome(em_estimate, log, cfg) == _outcome(reference_em_estimate, log, cfg)
+
+    def test_failing_record_named_by_its_kept_index(self):
+        # record 1 of the k > 0 records is record 2 of the log: the text names
+        # index 1 and record 2's counts, as the k > 0 log's own message does
+        log = SampleLog(np.array([3, 0, 5]), np.array([6, 6, 9]), np.array([4, 4, 7]),
+                        np.array([1, 2, 3]))
+        factors = np.array([0.5, -1.0])
+        with pytest.raises(EvaluationError) as kept:
+            _sum_log_factors(log.drop_zero_indegree(), factors, 0.3)
+        with pytest.raises(EvaluationError) as mapped:
+            _sum_log_factors(log, factors, 0.3, out=np.empty(2), kept=log.k > 0)
+        assert str(mapped.value) == str(kept.value)
+        assert "record 1 (k=5, e_prev=9, n_prev=7)" in str(kept.value)
+        assert mapped.value.record_index == kept.value.record_index == 1

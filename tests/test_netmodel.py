@@ -34,7 +34,6 @@ from mixnet.netmodel import (
     _Draws,
     _grow,
     _is_space,
-    _read_pairs,
     _repeat_rank,
     _stable_order,
     read_seed_spec,
@@ -42,6 +41,7 @@ from mixnet.netmodel import (
 )
 
 from conftest import (
+    read_pairs,
     reference_grow,
     reference_read_pairs,
     reference_to_csv,
@@ -979,7 +979,7 @@ class TestPairReader:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             expected, error = _read_outcome(reference_read_pairs, path, dated)
-            got, new_error = _read_outcome(_read_pairs, path, dated)
+            got, new_error = _read_outcome(read_pairs, path, dated)
         assert new_error == error
         if error:
             return

@@ -19,8 +19,13 @@ side's own directory under a temporary one:
 - ``estimate --trace --snapshot-mode`` on each of those logs;
 - ``estimate --method mle --trace --stride 100`` on the alpha 0.6 log, the
   longest chain of warm-started prefix solves;
+- ``estimate-em-zeros``: ``estimate --method em --keep-zero-indegree --trace
+  --stride 500`` on an alpha 0.6 log grown with m_hat=0, whose k=0 records
+  stay in the EM input;
 - ``dist --m 5 --m-hat 3 --alpha 0.6 --k-max 45 --ensemble 3 --workers 2``;
-- ``cite`` on the seed-0 pair of ``perfbench/inputs.py`` (10,000 papers);
+- ``cite`` on the seed-0 pair of ``perfbench/inputs.py`` (10,000 papers), and
+  ``cite-em-zeros``, the same call with ``--drop-zero-indegree-mle
+  --keep-zero-indegree-em``, so both of EM's inputs run on its worker thread;
 - ``cite-mixed``: ``cite --cutoff 2001-01-10 --m 2 --m-hat 0`` on a small
   hand-written pair (``CITE_EDGES``, ``CITE_DATES``) with CRLF line ends, an id
   with a two-byte code point that only the dates file holds (so the ASCII edge
@@ -29,8 +34,8 @@ side's own directory under a temporary one:
 
 The estimator calls read logs that no mixnet growth kernel made: each is
 written once by ``perfbench/inputs.py``'s ``growth_log`` (seed 1, m=5,
-m_hat=3, a complete 3-node seed) and read by both sides, like the ``cite``
-pair.  So a change to growth shows as DIFF only on the ``simulate`` and
+m_hat=3 unless stated, a complete 3-node seed) and read by both sides, like
+the ``cite`` pair.  So a change to growth shows as DIFF only on the ``simulate`` and
 ``dist`` outputs.  ``--steps`` (default 20000, the paper's FIG3) sets the
 growth steps of the other ``simulate`` calls, ``dist`` and those logs.
 
@@ -93,9 +98,13 @@ def calls(steps: int, cite_argv: list, seed_path: str, logs: dict, mixed: list) 
         out.append((f"snapshot-{alpha}", ["estimate", log, "--trace", "--snapshot-mode"]))
     out.append(("trace-0.6", ["estimate", logs["0.6"],
                               "--method", "mle", "--trace", "--stride", "100"]))
+    out.append(("estimate-em-zeros", ["estimate", logs["zeros"], "--method", "em",
+                                      "--keep-zero-indegree", "--trace", "--stride", "500"]))
     out.append(("dist", ["dist", "--m", "5", "--m-hat", "3", "--alpha", "0.6", "--k-max", "45",
                          "--ensemble", "3", "--workers", "2", "--steps", str(steps)]))
     out.append(("cite", cite_argv))
+    out.append(("cite-em-zeros", [*cite_argv, "--drop-zero-indegree-mle",
+                                  "--keep-zero-indegree-em"]))
     out.append(("cite-mixed", ["cite", *mixed, "--cutoff", "2001-01-10", "--m", "2",
                                "--m-hat", "0"]))
     return out
@@ -148,6 +157,8 @@ def main(argv=None) -> int:
         for alpha in ALPHAS:
             logs[alpha] = str(data / f"samplelog-{alpha}.csv")
             inputs.growth_log(1, args.steps, 5, 3, float(alpha), 3).write_csv(logs[alpha])
+        logs["zeros"] = str(data / "samplelog-zeros.csv")
+        inputs.growth_log(1, args.steps, 5, 0, 0.6, 3).write_csv(logs["zeros"])
         seed = data / "seed.edgelist"
         seed.write_bytes(SEED_FILE.encode("utf-8"))
         mixed = [str(data / "mixed-edges.txt"), str(data / "mixed-dates.txt")]

@@ -44,15 +44,22 @@ mixnet's growth kernel):
   --m 12 --m-hat 0``, the call of perfbench's ``cite-replay`` workload; its
   result is stdout and the bytes of ``ccdf.csv``, ``estimates.json``,
   ``replay_manifest.json`` and ``samplelog.csv``;
+- ``em-0.6``: ``em_estimate`` on the FIG3 log at alpha 0.6; its result is the
+  iterates, the convergence flag and the estimate;
+- ``cite-em``: ``em_estimate`` on the ``cite-replay`` log;
 - ``trace`` and ``snapshot``: ``mixnet.cli.main`` on ``estimate <log>
   --trace`` (stride 100) and on ``estimate <log> --trace --snapshot-mode``,
-  with the alpha 0.6 log written as CSV.
+  with the alpha 0.6 log written as CSV;
+- ``estimate`` and ``estimate-trace``: ``main`` on ``estimate <log> --method
+  both``, and on the same call with ``--trace --stride 100``, whose EM
+  iterates on a worker thread while the trace runs; their results include
+  ``em_trace.csv``.
 
 It prints one JSON object: for each layer and side the median and quartiles
 of the timed call in seconds, the sha256 of the layer's result (its reprs,
 its arrays' bytes, or the bytes of the files ``main`` wrote), the
 ``_derivative`` row passes per solve (0 for a layer that solves nothing: the
-growth, redraw, ``cite-load`` and ``cite-replay`` layers), and whether both
+growth, redraw, EM, ``cite-load`` and ``cite-replay`` layers), and whether both
 sides' results are equal.  With two sides, each layer also reports in how
 many of its ``--reps`` pairs of runs (the i-th run of each side) the change's
 call was the faster, which a few-percent move can show when the quartiles of
@@ -81,7 +88,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("grow-0", "grow-0.6", "grow-1", "grow-step", "redraw-2", "redraw-50",
           "redraw-2-bulk", "redraw-50-bulk", "mle-0", "mle-0.6", "mle-1", "solve-0.6",
           "prefix-100-0", "prefix-100-0.6", "prefix-100-1", "prefix-5000-0.6", "step-0.6",
-          "cite-load", "cite-replay", "cite-mle", "cite", "trace", "snapshot")
+          "em-0.6", "cite-load", "cite-replay", "cite-mle", "cite-em", "cite", "trace",
+          "snapshot", "estimate", "estimate-trace")
 
 
 def perfbench_inputs():
@@ -145,6 +153,14 @@ def redraw(steps: int, bulk: bool) -> list:
     raise AssertionError("the redraw bound was not reached")
 
 
+def em_result(log) -> list:
+    """``em_estimate`` on ``log``: its iterates, convergence and estimate."""
+    from mixnet import em_estimate
+
+    trace = em_estimate(log)
+    return [trace.iterations, trace.converged, trace.final_alpha]
+
+
 def cite_layer(stage: str, papers: int, work: Path):
     """(call, solves) of a ``cite-*`` layer or of ``cite`` (``stage`` "")."""
     from mixnet import likelihood
@@ -176,6 +192,8 @@ def cite_layer(stage: str, papers: int, work: Path):
 
         return replay, lambda result: 0
     log = replay_to_samplelog(build_replay(ds, day)).sample_log
+    if stage == "em":
+        return lambda: em_result(log), lambda result: 0
     return lambda: [likelihood.mle_estimate(log).to_dict()], len
 
 
@@ -221,13 +239,23 @@ def prepare(layer: str, steps: int, papers: int, work: Path):
     if kind == "step":
         log = fig3_log(float(rest[0]), steps)
         return lambda: likelihood.step_estimates(log), len
+    if kind == "em":
+        log = fig3_log(float(rest[0]), steps)
+        return lambda: em_result(log), lambda result: 0
     if kind == "cite":
         return cite_layer("".join(rest), papers, work)
     path = work / "samplelog.csv"
     fig3_log(0.6, steps).to_csv(path)
-    argv = ["estimate", str(path), "--trace"] + (["--snapshot-mode"] if kind == "snapshot" else [])
+    flags = {"trace": ["--trace"], "snapshot": ["--trace", "--snapshot-mode"],
+             "estimate": ["--method", "both"],
+             "estimate-trace": ["--method", "both", "--trace", "--stride", "100"]}[layer]
+    if "--trace" not in flags:
+        return main_call(["estimate", str(path), *flags], work,
+                         ("estimate.json", "em_trace.csv")), lambda result: 1  # the MLE
     # the trace's rows plus the full-log MLE
-    return main_call(argv, work, ("estimate.json", "trace.csv")), lambda r: r[2].count(b"\n")
+    files = ("estimate.json", "trace.csv") + (("em_trace.csv",) if kind == "estimate" else ())
+    return (main_call(["estimate", str(path), *flags], work, files),
+            lambda result: result[2].count(b"\n"))
 
 
 def worker(layer: str, steps: int, papers: int) -> dict:
