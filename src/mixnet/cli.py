@@ -90,6 +90,30 @@ class _Run:
         })
 
 
+def _with_em(log: SampleLog, cfg: EmConfig, work=None) -> tuple:
+    """``work()``'s result and EM's trace on ``log``.  EM iterates on one worker
+    thread while this thread runs ``work``; with no work, this thread runs the
+    first part of EM's records.  EM's error goes before work's, and a Ctrl-C
+    stops EM at its next iteration."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    steps, stop = em_setup(log, cfg, split=work is None)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        try:
+            job = pool.submit(steps[-1])
+            try:
+                done = work() if work else None
+                for step in steps[:-1]:
+                    step()
+            except Exception:
+                job.result()  # EM's error goes first, as when it ran first
+                raise
+            return done, job.result()
+        except KeyboardInterrupt:
+            stop()  # the worker ends at its next iteration, not at EM's end
+            raise
+
+
 def cmd_simulate(args, run: _Run) -> None:
     seed_spec = _resolve_seed_spec(args.seed_spec)
     params = ModelParams(m=args.m, m_hat=args.m_hat, alpha=args.alpha)
@@ -120,23 +144,22 @@ def cmd_estimate(args, run: _Run) -> None:
     if args.method in ("mle", "both"):
         # k=0 records stay in the MLE input: they contribute roots at 1
         result["mle"] = mle_estimate(sample_log).to_dict()
-    from concurrent.futures import ThreadPoolExecutor
 
-    # EM iterates on a worker while this thread runs the trace
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        em_job = pool.submit(em_setup(sample_log, cfg)) if args.method != "mle" else None
-        try:
-            if args.trace and args.snapshot_mode:
-                rows = step_estimates(sample_log)
-            elif args.trace:
-                # a replayed log starts at its first arrival that cites anything
-                # (the estimates above have rejected an empty log)
-                first = int(sample_log.step[0])
-                start = -(-first // args.stride) * args.stride
-                steps = range(start, sample_log.n_steps + 1, args.stride)
-                rows = list(zip(steps, prefix_estimates(sample_log, steps)))
-        finally:
-            trace = em_job.result() if em_job else None  # EM's error goes before the trace's
+    def trace_rows() -> list:
+        if args.snapshot_mode:
+            return step_estimates(sample_log)
+        # a replayed log starts at its first arrival that cites anything
+        # (the estimates above have rejected an empty log)
+        first = int(sample_log.step[0])
+        start = -(-first // args.stride) * args.stride
+        steps = range(start, sample_log.n_steps + 1, args.stride)
+        return list(zip(steps, prefix_estimates(sample_log, steps)))
+
+    if args.method == "mle":
+        trace, rows = None, trace_rows() if args.trace else None
+    else:
+        # without a trace, this thread and the worker split EM's records
+        rows, trace = _with_em(sample_log, cfg, trace_rows if args.trace else None)
     if trace is not None:
         result["em"] = {
             "alpha_hat": trace.final_alpha,
@@ -213,17 +236,13 @@ def cmd_cite(args, run: _Run) -> None:
         else replay.sample_log.drop_zero_indegree()
     )
     mle_report = mle_estimate(mle_log)
-    from concurrent.futures import ThreadPoolExecutor
+
+    def side_work() -> tuple:
+        k_max = args.k_max or int(replay.in_degrees.max())
+        return k_max, ccdf_from_indegrees(replay.in_degrees, k_max), replay.sample_log.csv_bytes()
 
     # EM iterates on a worker while this thread does the work that does not need it
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        em_job = pool.submit(em_setup(replay.sample_log, em_cfg))
-        try:
-            k_max = args.k_max or int(replay.in_degrees.max())
-            emp_ccdf = ccdf_from_indegrees(replay.in_degrees, k_max)
-            samplelog_csv = replay.sample_log.csv_bytes()
-        finally:
-            em_trace = em_job.result()  # EM's error goes first, as when it ran first
+    (k_max, emp_ccdf, samplelog_csv), em_trace = _with_em(replay.sample_log, em_cfg, side_work)
 
     # theoretical overlays at both estimates (1 up to m_hat) against the empirical ccdf
     overlays = {}

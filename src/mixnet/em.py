@@ -8,6 +8,9 @@ increases the incomplete log-likelihood and converges by its concavity.
 
 from __future__ import annotations
 
+import math
+import operator
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -74,11 +77,17 @@ class EmTrace:
     final_alpha: float = float("nan")
 
 
-def em_setup(log: SampleLog, cfg: EmConfig = EmConfig()):
-    """``em_estimate``'s checks, coefficients and two work buffers; returns its
-    iteration step, a call that allocates no arrays, for another thread to run.
-    Records with k = 0 (no preferential mass, responsibility identically 0) are
-    dropped unless ``cfg.keep_zero_indegree``."""
+def em_setup(log: SampleLog, cfg: EmConfig = EmConfig(), split: bool = False):
+    """``em_estimate``'s checks, coefficients and two work buffers, all made on the
+    calling thread; returns ``(steps, stop)``: EM's iteration steps, calls that
+    allocate no arrays, for as many threads to run at once, and a call that makes
+    them stop at their next iteration.  Records with k = 0 (no preferential mass,
+    responsibility identically 0) are dropped unless ``cfg.keep_zero_indegree``.
+
+    There is one step, or with ``split`` two when more than 128 records are kept.
+    The second takes the records from n2 = n//2 - (n//2) % 8 on, where numpy's
+    pairwise sum of n > 128 float64 values makes its first split, so the two
+    parts' sums added give the whole array's sum bit for bit."""
     if len(log) == 0:
         raise ValueError("cannot estimate from an empty log")
     kept = (log.k > 0) | cfg.keep_zero_indegree
@@ -88,40 +97,71 @@ def em_setup(log: SampleLog, cfg: EmConfig = EmConfig()):
     n_prev = log.n_prev[kept].astype(np.float64)
     c = 1.0 / n_prev
     d = ke - c  # _slope_intercept's coefficients
-    return partial(_em_iterate, log, kept, ke, n_prev, d, c, *np.empty((2, len(ke))), cfg)
+    n = len(ke)
+    cuts = (0, n // 2 - n // 2 % 8, n) if split and n > 128 else (0, n)
+    barrier = threading.Barrier(len(cuts) - 1)
+    posts = [[None] * barrier.parties for _ in range(2)]  # by iteration parity, then part
+    buffers = np.empty((2, n))
+    steps = [partial(_em_iterate, log, kept, d, c, cfg, barrier, posts, i,
+                     *(x[lo:hi] for x in (ke, n_prev, d, c, *buffers)))
+             for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+    return steps, barrier.abort
 
 
-def _em_iterate(log, kept, ke, n_prev, d, c, a, b, cfg: EmConfig) -> EmTrace:
-    """The EM iterations on the ``kept`` records of ``log``: the E-step of ``em_step``
-    (``_mixture``) and the objective of ``log_likelihood``, into ``a`` and ``b``."""
-    def loglik_at(alpha: float) -> float:
-        factors = np.add(np.multiply(d, alpha, out=a), c, out=a)
-        return _sum_log_factors(log, factors, alpha, out=b, kept=kept)
-
+def _em_iterate(log, kept, d, c, cfg: EmConfig, barrier, posts, part,
+                ke, n_prev, d_part, c_part, a, b) -> EmTrace | None:
+    """EM's iterations on the ``kept`` records of ``log`` (coefficients ``d`` and
+    ``c``), as one of ``barrier.parties`` steps run at once, each on its own part
+    of the records: ``ke``, ``n_prev``, ``d_part``, ``c_part`` and the work buffers
+    ``a`` and ``b``.  At each iterate alpha a step sums over its part the log
+    factors of ``log_likelihood`` and, unless the loop ends there, the
+    responsibilities of ``em_step`` (``_mixture``), and posts both sums in
+    ``posts[i % 2]``, where a step one barrier ahead writes nothing another still
+    reads.  After the barrier every step adds the parts' sums in part order, so
+    all take the same decisions and raise the same errors.  A step whose own work
+    fails breaks the barrier; a step that finds it broken returns None, leaving
+    the error to the step that broke it or to the caller that stopped EM."""
     trace = EmTrace()
     alpha = cfg.alpha_init
-    prev_loglik = loglik_at(alpha)
-    trace.iterations.append((alpha, prev_loglik))
-    for _ in range(cfg.max_iter):
-        # the mixture densities are the factors the objective at alpha checked
-        pref, total = _mixture(ke, n_prev, alpha, a, b)
-        new_alpha = float(np.divide(pref, total, out=a).mean())
-        loglik = loglik_at(new_alpha)
-        if loglik < prev_loglik - MONOTONICITY_SLACK:
+    for i in range(cfg.max_iter + 1):
+        converged = i > 0 and abs(alpha - trace.iterations[-1][0]) < cfg.epsilon
+        ends = converged or i == cfg.max_iter
+        try:
+            factors = np.add(np.multiply(d_part, alpha, out=a), c_part, out=a)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                loglik = float(np.log(factors, out=b).sum())
+            resp = 0.0
+            if not ends and math.isfinite(loglik):
+                # the mixture densities are the factors whose logs were just summed
+                pref, total = _mixture(ke, n_prev, alpha, a, b)
+                resp = float(np.divide(pref, total, out=a).sum())
+            posts[i % 2][part] = loglik, resp
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            return None
+        except BaseException:
+            barrier.abort()  # the other step stops at its next iteration
+            raise
+        sums = posts[i % 2]
+        # part 0's sums plus part 1's, as numpy's pairwise sum adds its halves
+        loglik, resp = sums[0] if len(sums) == 1 else map(operator.add, *sums)
+        if not math.isfinite(loglik):  # name the first bad factor as log_likelihood does
+            _sum_log_factors(log, d * alpha + c, alpha, kept=kept)
+        if i > 0 and loglik < trace.iterations[-1][1] - MONOTONICITY_SLACK:
             raise RuntimeError(
-                f"EM objective decreased from {prev_loglik} to {loglik}; "
+                f"EM objective decreased from {trace.iterations[-1][1]} to {loglik}; "
                 "this violates EM monotonicity and indicates a bug"
             )
-        trace.iterations.append((new_alpha, loglik))
-        delta = abs(new_alpha - alpha)
-        alpha, prev_loglik = new_alpha, loglik
-        if delta < cfg.epsilon:
-            trace.converged = True
+        trace.iterations.append((alpha, loglik))
+        if ends:
             break
+        alpha = resp / len(d)  # the mean responsibility
+    trace.converged = converged
     trace.final_alpha = alpha
     return trace
 
 
 def em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:
     """Iterate the EM update from alpha_init until |delta alpha| < epsilon."""
-    return em_setup(log, cfg)()
+    (step,), _ = em_setup(log, cfg)
+    return step()

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -129,6 +128,8 @@ def root_profile(log: SampleLog) -> RootProfile:
     Roots are rationals of machine-integer counts, so merging uses exact
     fractions rather than a float tolerance.
     """
+    from fractions import Fraction  # a diagnostic's import, kept off mixnet's import path
+
     if len(log) == 0:
         raise ValueError("root profile of an empty log")
     counts: dict[Fraction, int] = {}

@@ -3,12 +3,15 @@
 import datetime
 import hashlib
 import json
+import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from unittest import mock
 
@@ -850,10 +853,93 @@ class TestEmWorker:
         assert not out.exists()
 
 
+class TestSplitEm:
+    """``estimate`` without a trace splits EM's records between this thread and
+    one pool thread; a Ctrl-C stops EM at its next iteration."""
+
+    @pytest.fixture
+    def e_steps(self, monkeypatch):
+        """The thread of each of EM's E-steps, in call order."""
+        threads, mixture = [], mixnet.em._mixture
+
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return mixture(*args)
+
+        monkeypatch.setattr(mixnet.em, "_mixture", recorded)
+        return threads
+
+    def test_runs_on_this_thread_and_one_pool_thread(self, tmp_path, samplelog, e_steps):
+        before = set(threading.enumerate())
+        out = tmp_path / "out"
+        assert run(["estimate", samplelog, "--method", "both", "--out", out]) == 0
+        calls = list(e_steps)
+        workers = set(calls) - {threading.main_thread()}
+        assert len(workers) == 1 and 2 * calls.count(threading.main_thread()) == len(calls)
+        trace = em_estimate(SampleLog.from_csv(samplelog))
+        assert len(calls) == 2 * (len(trace.iterations) - 1)
+        assert json.loads((out / "estimate.json").read_text())["em"]["alpha_hat"] \
+            == trace.final_alpha
+        assert set(threading.enumerate()) == before  # the pool thread has ended
+
+    @pytest.mark.parametrize("failing", ["main", "worker", "objective"])
+    def test_failure_in_either_part_exits_1(self, tmp_path, capsys, monkeypatch, samplelog,
+                                            failing):
+        if failing == "objective":  # both parts find the objective decreased
+            monkeypatch.setattr(mixnet.em, "MONOTONICITY_SLACK", -math.inf)
+            with pytest.raises(RuntimeError) as one_part:
+                em_estimate(SampleLog.from_csv(samplelog))
+            message = str(one_part.value)
+        else:
+            mixture, message = mixnet.em._mixture, f"E-step failed on the {failing} thread"
+
+            def fail(*args):
+                if (threading.current_thread() is threading.main_thread()) == (failing == "main"):
+                    raise RuntimeError(message)
+                return mixture(*args)
+
+            monkeypatch.setattr(mixnet.em, "_mixture", fail)
+        before = set(threading.enumerate())
+        out = tmp_path / "out"
+        assert run(["estimate", samplelog, "--out", out]) == 1
+        assert capsys.readouterr().err == f"mixnet: error: {message}\n"
+        assert not out.exists()
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("flags", [["--method", "both"], ["--trace", "--stride", 20]],
+                             ids=["split", "trace"])
+    def test_ctrl_c_stops_em_at_its_next_iteration(self, tmp_path, monkeypatch, samplelog,
+                                                   flags):
+        # each E-step takes 20 ms, and the worker's third sends this thread a SIGINT:
+        # split, this thread is running EM's first part; with a trace, it has
+        # finished the trace and waits for EM
+        iterations = len(em_estimate(SampleLog.from_csv(samplelog)).iterations) - 1
+        mixture, calls, main_thread = mixnet.em._mixture, [], threading.main_thread()
+
+        def slow(*args):
+            calls.append(threading.current_thread())
+            if calls.count(calls[-1]) == 3 and calls[-1] is not main_thread:
+                signal.pthread_kill(main_thread.ident, signal.SIGINT)
+            time.sleep(0.02)
+            return mixture(*args)
+
+        monkeypatch.setattr(mixnet.em, "_mixture", slow)
+        before = set(threading.enumerate())
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            run(["estimate", samplelog, *flags, "--out", out])
+        worker_calls = len(calls) - calls.count(main_thread)
+        assert 3 <= worker_calls <= 4 < iterations
+        assert not out.exists()
+        assert set(threading.enumerate()) == before
+
+
 def test_import_loads_no_scipy_or_process_pool():
+    # nor fractions and decimal, which only the root_profile diagnostic uses
     src = os.path.dirname(os.path.dirname(mixnet.__file__))
     code = ("import sys, mixnet.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy') or m == 'concurrent.futures.process'))")
+            "if m.startswith('scipy') or m in "
+            "('concurrent.futures.process', 'fractions', 'decimal')))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -18,6 +18,8 @@ OUTPUTS = {
     **{f"{call}-{a}": ESTIMATE for call in ("estimate", "snapshot") for a in ("0", "0.6", "1")},
     "trace-0.6": ["estimate.json", "manifest.json", "trace.csv"],
     "estimate-em-zeros": ["em_trace.csv", "estimate.json", "manifest.json", "trace.csv"],
+    **{f"split-{a}": ["em_trace.csv", "estimate.json", "manifest.json"]
+       for a in ("0", "0.6", "1", "em-zeros")},
     "dist": ["empirical.csv", "manifest.json", "theory.csv"],
     **{call: ["ccdf.csv", "estimates.json", "manifest.json", "replay_manifest.json",
               "samplelog.csv"] for call in ("cite", "cite-em-zeros", "cite-mixed")},

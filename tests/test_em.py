@@ -1,6 +1,10 @@
 """Unit tests for the EM estimator."""
 
+import math
 import random
+import time
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +24,12 @@ from mixnet import (
     mle_estimate,
     responsibility,
 )
+import mixnet.em
 from mixnet.cli import main
+from mixnet.em import MONOTONICITY_SLACK, em_setup
 from mixnet.likelihood import EvaluationError, _sum_log_factors
 
+import conftest
 from conftest import random_log, reference_em_estimate
 
 
@@ -212,3 +219,138 @@ class TestSplitEmMatchesOracle:
         assert str(mapped.value) == str(kept.value)
         assert "record 1 (k=5, e_prev=9, n_prev=7)" in str(kept.value)
         assert mapped.value.record_index == kept.value.record_index == 1
+
+
+class TestSplitSumIdentity:
+    """``em_setup(..., split=True)`` cuts the kept records at n2 = n//2 - (n//2) % 8
+    and adds the two parts' sums: that is numpy's own first split of a pairwise
+    sum, so the total has the bits of the whole array's ``sum``/``mean``.  A numpy
+    whose pairwise kernel splits elsewhere fails here instead of changing EM's
+    output silently."""
+
+    LARGE = (5_001, 8_191, 8_192, 8_193, 65_537, 99_997, 100_000, 131_071, 1_000_003, 3_000_000)
+
+    @staticmethod
+    def split_sum(a):
+        n2 = len(a) // 2 - len(a) // 2 % 8
+        return a[:n2].sum() + a[n2:].sum()
+
+    def check(self, lengths, rng):
+        differs = 0
+        for n in lengths:
+            a = np.log(rng.random(n))  # log factors: every magnitude of rounding error
+            total = self.split_sum(a)
+            assert a.sum() == total, n
+            assert a.mean() == total / n, n
+            assert a.reshape(1, n).sum(axis=1)[0] == total, n
+            differs += a[:n // 2].sum() + a[n // 2:].sum() != total
+        return differs
+
+    def test_lengths_129_to_5000(self):
+        differs = self.check(range(129, 5001), np.random.default_rng(0))
+        assert differs > 1000  # the data tells the two splits apart
+
+    def test_large_and_used_lengths(self):
+        # 99,997: the k > 0 records of the FIG3 log of perfbench's fig3 workload;
+        # and those of the log test_cli's ``samplelog`` fixture simulates
+        _, log = grow_sequence(SeedSpec.complete(4), ModelParams(3, 2, 0.6), 60, make_rng(1))
+        self.check([*self.LARGE, int((log.k > 0).sum())], np.random.default_rng(1))
+
+
+def _outcome_of(call):
+    """``_outcome`` of ``call()``, with an EvaluationError's record index."""
+    try:
+        trace = call()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc), getattr(exc, "record_index", None)
+    return (np.array(trace.iterations).tobytes(), trace.converged,
+            np.float64(trace.final_alpha).tobytes())
+
+
+def _split_outcomes(log, cfg):
+    """The outcomes of both steps of a split EM, run at once on two threads."""
+    steps, _ = em_setup(log, cfg, split=True)
+    assert len(steps) == 2
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        second = pool.submit(_outcome_of, steps[1])
+        return _outcome_of(steps[0]), second.result()
+
+
+@st.composite
+def split_inputs(draw):
+    """(log, cfg, slack, bad): a log of 129-5,000 kept records and a case:
+    ``plain`` (k = 0 records among them, kept or not), a factor that is bad at
+    alpha_init in the first or the second part (``bad`` is the first such kept
+    index), or a monotonicity slack below 0 that makes EM fail."""
+    n = draw(st.integers(129, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_prev = rng.integers(1, 60, n)
+    e_prev = n_prev + rng.integers(0, 400, n)
+    k = np.minimum(rng.integers(1, 40, n), e_prev)
+    cfg = EmConfig(alpha_init=draw(st.sampled_from([0.5, 0.05, 0.97]) | st.floats(0.01, 0.99)),
+                   epsilon=draw(st.sampled_from([1e-8, 1e-3, 1e-12])),
+                   max_iter=draw(st.sampled_from([1, 2, 7, 300])),
+                   keep_zero_indegree=draw(st.booleans()))
+    case = draw(st.sampled_from(["plain", "bad-first", "bad-second", "decrease"]))
+    slack, bad = MONOTONICITY_SLACK, None
+    if case == "plain":  # k = 0 records, dropped unless kept, still leave n kept records
+        at = rng.integers(0, n + 1, draw(st.integers(0, n // 4)))
+        k, e_prev, n_prev = (np.insert(x, at, v) for x, v in ((k, 0), (e_prev, 9), (n_prev, 4)))
+    elif case == "decrease":
+        slack = draw(st.sampled_from([-math.inf, -1e-3, -1e-7]))
+    else:
+        # at alpha_init -0.5, set past EmConfig's check, a factor is 1.5/n_prev - 0.5 k/e_prev:
+        # positive with k = 1 and e_prev >= n_prev, negative with k = e_prev and n_prev >= 4
+        object.__setattr__(cfg, "alpha_init", -0.5)
+        k = np.ones(n, dtype=np.int64)
+        n2 = n // 2 - n // 2 % 8
+        bad = draw(st.integers(0, n2 - 1) if case == "bad-first" else st.integers(n2, n - 1))
+        later = rng.integers(bad, n, draw(st.integers(0, 3)))
+        for i in (bad, *later):
+            n_prev[i], k[i] = max(n_prev[i], 4), e_prev[i]
+    log = SampleLog(k, e_prev, n_prev, np.arange(1, len(k) + 1))
+    return log, cfg, slack, bad
+
+
+class TestTwoPartStep:
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=split_inputs())
+    def test_matches_oracle(self, inputs):
+        log, cfg, slack, bad = inputs
+        with mock.patch.object(mixnet.em, "MONOTONICITY_SLACK", slack), \
+                mock.patch.object(conftest, "MONOTONICITY_SLACK", slack), \
+                np.errstate(all="ignore"):
+            reference = _outcome_of(lambda: reference_em_estimate(log, cfg))
+            one = _outcome_of(lambda: em_estimate(log, cfg))
+            first, second = _split_outcomes(log, cfg)
+        assert first == second == one == reference
+        if bad is not None:  # the same kept index and record as the one-part run
+            assert one[0] is EvaluationError and one[2] == bad
+            assert f"for record {bad} (k={log.k[bad]}," in one[1]
+        elif slack == -math.inf:
+            assert one[0] is RuntimeError and "EM objective decreased" in one[1]
+
+    def test_short_log_keeps_one_part(self):
+        rng = random.Random(5)
+        log = random_log(rng, max_records=128)
+        steps, _ = em_setup(log, EmConfig(keep_zero_indegree=True), split=True)
+        assert len(steps) == 1
+
+    def test_stop_ends_a_running_step(self, monkeypatch):
+        # the one-part step of cite and estimate --trace, each E-step slowed to
+        # 10 ms, ends at its next iteration
+        mixture, calls = mixnet.em._mixture, []
+
+        def slow(*args):
+            calls.append(args)
+            time.sleep(0.01)
+            return mixture(*args)
+
+        monkeypatch.setattr(mixnet.em, "_mixture", slow)
+        log = random_log(random.Random(6), max_records=40)
+        (step,), stop = em_setup(log, EmConfig(epsilon=1e-300, max_iter=10**6))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            job = pool.submit(step)
+            stop()
+            assert job.result(timeout=60) is None
+        assert len(calls) <= 1

@@ -1,4 +1,4 @@
-"""Smoke test of tools/layers.py: seven layers, one tree against itself."""
+"""Smoke test of tools/layers.py: eight layers, one tree against itself."""
 
 import json
 import os
@@ -16,17 +16,21 @@ def test_same_tree_times_and_digests_each_layer():
     done = subprocess.run([sys.executable, TOOL, src, src, "--reps", "1", "--steps", "200",
                            "--papers", "400",
                            "--layers", "prefix-100-0.6,trace,grow-0.6,grow-step,cite-load,"
-                           "em-0.6,estimate-trace"],
+                           "em-0.6,em2-0.6,estimate-trace"],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert list(report["layers"]) == ["prefix-100-0.6", "trace", "grow-0.6", "grow-step",
-                                      "cite-load", "em-0.6", "estimate-trace"]
+                                      "cite-load", "em-0.6", "em2-0.6", "estimate-trace"]
     for layer, entry in report["layers"].items():
         assert entry["same"]
         assert entry["change_faster_pairs"] in (0, 1)
+        assert entry.get("change_faster_first_pairs", 0) in (0, 1)
         for side in ("base", "change"):
             assert entry[side]["q1_s"] <= entry[side]["median_s"] <= entry[side]["q3_s"]
+            # a growth layer reports its first call apart from the best of the later ones
+            first = [entry[side].get(f"first_{q}_s") for q in ("q1", "median", "q3")]
+            assert sorted(first) == first if layer.startswith("grow") else first == [None] * 3
             assert len(entry[side]["sha256"]) == 64
             if layer.startswith(("grow", "cite-load", "em")):
                 # growth, loading and EM make no MLE solve
@@ -34,3 +38,6 @@ def test_same_tree_times_and_digests_each_layer():
             else:
                 # a warm-started solve at least evaluates the score once
                 assert entry[side]["passes_per_solve"] >= 1
+    # the split EM gives em_estimate's iterates, convergence flag and estimate
+    em, em2 = report["layers"]["em-0.6"], report["layers"]["em2-0.6"]
+    assert em2["base"]["sha256"] == em["base"]["sha256"]

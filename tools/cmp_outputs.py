@@ -17,11 +17,14 @@ side's own directory under a temporary one:
 - ``estimate --method both --trace --stride 500`` on a sample log at alpha
   0, 0.6 and 1;
 - ``estimate --trace --snapshot-mode`` on each of those logs;
+- ``split-A``: ``estimate --method both`` without a trace on each of those
+  logs, whose EM splits its records between two threads;
 - ``estimate --method mle --trace --stride 100`` on the alpha 0.6 log, the
   longest chain of warm-started prefix solves;
 - ``estimate-em-zeros``: ``estimate --method em --keep-zero-indegree --trace
   --stride 500`` on an alpha 0.6 log grown with m_hat=0, whose k=0 records
-  stay in the EM input;
+  stay in the EM input, and ``split-em-zeros``, the same call without the
+  trace;
 - ``dist --m 5 --m-hat 3 --alpha 0.6 --k-max 45 --ensemble 3 --workers 2``;
 - ``cite`` on the seed-0 pair of ``perfbench/inputs.py`` (10,000 papers), and
   ``cite-em-zeros``, the same call with ``--drop-zero-indegree-mle
@@ -96,10 +99,13 @@ def calls(steps: int, cite_argv: list, seed_path: str, logs: dict, mixed: list) 
         out.append((f"estimate-{alpha}", [
             "estimate", log, "--method", "both", "--trace", "--stride", "500"]))
         out.append((f"snapshot-{alpha}", ["estimate", log, "--trace", "--snapshot-mode"]))
+        out.append((f"split-{alpha}", ["estimate", log, "--method", "both"]))
     out.append(("trace-0.6", ["estimate", logs["0.6"],
                               "--method", "mle", "--trace", "--stride", "100"]))
     out.append(("estimate-em-zeros", ["estimate", logs["zeros"], "--method", "em",
                                       "--keep-zero-indegree", "--trace", "--stride", "500"]))
+    out.append(("split-em-zeros", ["estimate", logs["zeros"], "--method", "em",
+                                   "--keep-zero-indegree"]))
     out.append(("dist", ["dist", "--m", "5", "--m-hat", "3", "--alpha", "0.6", "--k-max", "45",
                          "--ensemble", "3", "--workers", "2", "--steps", str(steps)]))
     out.append(("cite", cite_argv))

@@ -8,7 +8,10 @@ Each layer runs ``--reps`` times per side, every time in a fresh interpreter
 with ``PYTHONPATH`` set to that side's tree; the sides alternate, and so does
 which of them goes first.  A run builds its input untimed, calls the layer
 once to warm up, times one call, and then makes one more call with
-``likelihood._derivative`` wrapped to count the rows it evaluates.
+``likelihood._derivative`` wrapped to count the rows it evaluates.  A
+``grow-*`` run instead times its first call and ``GROW_CALLS`` calls after it:
+the first call of a fresh interpreter varies widely, so the best of the later
+ones is the layer's time and the first is reported on its own.
 
 The layers (FIG3 means m=5, m_hat=3, a complete 3-node seed and ``--steps``
 growth steps, default 20000; a FIG3 log is the one ``perfbench/inputs.py``'s
@@ -46,10 +49,15 @@ mixnet's growth kernel):
   ``replay_manifest.json`` and ``samplelog.csv``;
 - ``em-0.6``: ``em_estimate`` on the FIG3 log at alpha 0.6; its result is the
   iterates, the convergence flag and the estimate;
+- ``em2-0.6``: the same EM split in two parts (``em_setup(..., split=True)``),
+  one run on a pool thread and one on the calling thread, as ``estimate``
+  without a trace runs it; its digest is ``em-0.6``'s.  On a tree whose
+  ``em_setup`` cannot split, it runs ``em_estimate``, so a pair of trees
+  compares the split with one thread;
 - ``cite-em``: ``em_estimate`` on the ``cite-replay`` log;
 - ``trace`` and ``snapshot``: ``mixnet.cli.main`` on ``estimate <log>
-  --trace`` (stride 100) and on ``estimate <log> --trace --snapshot-mode``,
-  with the alpha 0.6 log written as CSV;
+  --method mle --trace`` (stride 100), the trace without EM, and on ``estimate
+  <log> --trace --snapshot-mode``, with the alpha 0.6 log written as CSV;
 - ``estimate`` and ``estimate-trace``: ``main`` on ``estimate <log> --method
   both``, and on the same call with ``--trace --stride 100``, whose EM
   iterates on a worker thread while the trace runs; their results include
@@ -60,10 +68,11 @@ of the timed call in seconds, the sha256 of the layer's result (its reprs,
 its arrays' bytes, or the bytes of the files ``main`` wrote), the
 ``_derivative`` row passes per solve (0 for a layer that solves nothing: the
 growth, redraw, EM, ``cite-load`` and ``cite-replay`` layers), and whether both
-sides' results are equal.  With two sides, each layer also reports in how
+sides' results are equal; a ``grow-*`` layer adds the median and quartiles of
+its first calls (``first_*``).  With two sides, each layer also reports in how
 many of its ``--reps`` pairs of runs (the i-th run of each side) the change's
-call was the faster, which a few-percent move can show when the quartiles of
-one-call timings overlap.
+call was the faster (and for ``grow-*`` the first call, too), which a
+few-percent move can show when the quartiles of one-call timings overlap.
 """
 
 from __future__ import annotations
@@ -85,10 +94,12 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: the calls a ``grow-*`` run times after its first
+GROW_CALLS = 5
 LAYERS = ("grow-0", "grow-0.6", "grow-1", "grow-step", "redraw-2", "redraw-50",
           "redraw-2-bulk", "redraw-50-bulk", "mle-0", "mle-0.6", "mle-1", "solve-0.6",
           "prefix-100-0", "prefix-100-0.6", "prefix-100-1", "prefix-5000-0.6", "step-0.6",
-          "em-0.6", "cite-load", "cite-replay", "cite-mle", "cite-em", "cite", "trace",
+          "em-0.6", "em2-0.6", "cite-load", "cite-replay", "cite-mle", "cite-em", "cite", "trace",
           "snapshot", "estimate", "estimate-trace")
 
 
@@ -158,6 +169,24 @@ def em_result(log) -> list:
     from mixnet import em_estimate
 
     trace = em_estimate(log)
+    return [trace.iterations, trace.converged, trace.final_alpha]
+
+
+def em_split_result(log) -> list:
+    """``em_result`` of EM split in two parts, the second run on a pool thread."""
+    import inspect
+    from concurrent.futures import ThreadPoolExecutor
+
+    from mixnet import em
+
+    if "split" not in inspect.signature(em.em_setup).parameters:
+        return em_result(log)
+    steps, _ = em.em_setup(log, split=True)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        job = pool.submit(steps[-1])
+        for step in steps[:-1]:
+            step()
+        trace = job.result()
     return [trace.iterations, trace.converged, trace.final_alpha]
 
 
@@ -239,14 +268,14 @@ def prepare(layer: str, steps: int, papers: int, work: Path):
     if kind == "step":
         log = fig3_log(float(rest[0]), steps)
         return lambda: likelihood.step_estimates(log), len
-    if kind == "em":
-        log = fig3_log(float(rest[0]), steps)
-        return lambda: em_result(log), lambda result: 0
+    if kind in ("em", "em2"):
+        log, run = fig3_log(float(rest[0]), steps), em_result if kind == "em" else em_split_result
+        return lambda: run(log), lambda result: 0
     if kind == "cite":
         return cite_layer("".join(rest), papers, work)
     path = work / "samplelog.csv"
     fig3_log(0.6, steps).to_csv(path)
-    flags = {"trace": ["--trace"], "snapshot": ["--trace", "--snapshot-mode"],
+    flags = {"trace": ["--method", "mle", "--trace"], "snapshot": ["--trace", "--snapshot-mode"],
              "estimate": ["--method", "both"],
              "estimate-trace": ["--method", "both", "--trace", "--stride", "100"]}[layer]
     if "--trace" not in flags:
@@ -258,16 +287,25 @@ def prepare(layer: str, steps: int, papers: int, work: Path):
             lambda result: result[2].count(b"\n"))
 
 
+def timed(call) -> tuple:
+    start = time.perf_counter()
+    result = call()
+    return time.perf_counter() - start, result
+
+
 def worker(layer: str, steps: int, papers: int) -> dict:
-    """One timed call of ``layer`` in this interpreter, as a JSON-ready dict."""
+    """The timed calls of ``layer`` in this interpreter, as a JSON-ready dict."""
     from mixnet import likelihood
 
+    times = {}
     with tempfile.TemporaryDirectory() as tmp:
         call, solves = prepare(layer, steps, papers, Path(tmp))
-        call()
-        start = time.perf_counter()
-        result = call()
-        seconds = time.perf_counter() - start
+        if layer.startswith("grow"):
+            times["first_seconds"], result = timed(call)
+            times["seconds"] = min(timed(call)[0] for _ in range(GROW_CALLS))
+        else:
+            call()
+            times["seconds"], result = timed(call)
         derivative, passes = likelihood._derivative, [0]
 
         def counted(d, c, alpha, out=None):
@@ -280,7 +318,7 @@ def worker(layer: str, steps: int, papers: int) -> dict:
         finally:
             likelihood._derivative = derivative
     data = b"".join(x if isinstance(x, bytes) else repr(x).encode() + b"\n" for x in result)
-    return {"seconds": seconds, "sha256": hashlib.sha256(data).hexdigest(),
+    return {**times, "sha256": hashlib.sha256(data).hexdigest(),
             "passes_per_solve": passes[0] / max(solves(result), 1)}
 
 
@@ -335,16 +373,21 @@ def main(argv=None) -> int:
               "steps": args.steps, "reps": args.reps, "layers": {}}
     for layer, by_side in runs.items():
         entry = {}
+        timings = [key for key in ("seconds", "first_seconds") if key in by_side["base"][0]]
         for side, results in by_side.items():
-            q1, median, q3 = quartiles([r["seconds"] for r in results])
             digests = {r["sha256"] for r in results}
-            entry[side] = {"median_s": median, "q1_s": q1, "q3_s": q3,
-                           "sha256": digests.pop() if len(digests) == 1 else "varies",
+            entry[side] = {"sha256": digests.pop() if len(digests) == 1 else "varies",
                            "passes_per_solve": results[0]["passes_per_solve"]}
+            for key in timings:
+                prefix = key.replace("seconds", "")
+                q1, median, q3 = quartiles([r[key] for r in results])
+                entry[side].update({f"{prefix}median_s": median, f"{prefix}q1_s": q1,
+                                    f"{prefix}q3_s": q3})
         entry["same"] = len({entry[side]["sha256"] for side in by_side}) == 1
         if "change" in by_side:
-            entry["change_faster_pairs"] = sum(
-                c["seconds"] < b["seconds"] for b, c in zip(by_side["base"], by_side["change"]))
+            for key in timings:
+                entry[f"change_faster_{key.replace('seconds', '')}pairs"] = sum(
+                    c[key] < b[key] for b, c in zip(by_side["base"], by_side["change"]))
         report["layers"][layer] = entry
     print(json.dumps(report, indent=1))
     return 0
