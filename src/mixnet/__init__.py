@@ -2,13 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .em import EmConfig, EmTrace, em_estimate, em_step, responsibility
-from .degree_dist import (
-    StationaryDistribution,
-    finite_t_pmf,
-    stationary_ccdf,
-    stationary_pmf,
-)
+from .em import EmConfig, EmTrace, em_estimate
+from .degree_dist import StationaryDistribution, finite_t_pmf
 from .likelihood import (
     MleReport,
     RootBracket,
@@ -19,7 +14,6 @@ from .likelihood import (
     prefix_estimates,
     root_bracket,
     root_profile,
-    snapshot_log_likelihood,
     step_estimates,
 )
 from .netmodel import (
@@ -28,7 +22,6 @@ from .netmodel import (
     ModelParams,
     SampleLog,
     SeedSpec,
-    attachment_probability,
     grow_sequence,
     grow_step,
     make_rng,
@@ -46,10 +39,8 @@ __all__ = [
     "SampleLog",
     "SeedSpec",
     "StationaryDistribution",
-    "attachment_probability",
     "check_theorem1",
     "em_estimate",
-    "em_step",
     "finite_t_pmf",
     "grow_sequence",
     "grow_step",
@@ -57,11 +48,7 @@ __all__ = [
     "make_rng",
     "mle_estimate",
     "prefix_estimates",
-    "responsibility",
     "root_bracket",
     "root_profile",
-    "snapshot_log_likelihood",
-    "stationary_ccdf",
-    "stationary_pmf",
     "step_estimates",
 ]

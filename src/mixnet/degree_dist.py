@@ -58,13 +58,9 @@ class StationaryDistribution:
     def __post_init__(self):
         _check_regime(self.params)
 
-    @property
-    def support_start(self) -> int:
-        return self.params.m_hat
-
     def pmf_array(self, k_max: int) -> np.ndarray:
         """P(k) for k = m_hat .. k_max inclusive."""
-        mh = self.support_start
+        mh = self.params.m_hat
         if k_max < mh:
             raise ValueError(f"k={k_max} below support start {mh}")
         ratios = np.empty(k_max - mh + 1)
@@ -74,10 +70,6 @@ class StationaryDistribution:
 
     def pmf(self, k: int) -> float:
         return float(self.pmf_array(k)[-1])
-
-    def ccdf(self, k: int) -> float:
-        """P(K >= k); equals 1 at the support start by the empty sum."""
-        return float(self.ccdf_array(k)[-1])
 
     def ccdf_array(self, k_max: int) -> np.ndarray:
         """CCDF for k = m_hat .. k_max inclusive, by the closed tail sum.
@@ -96,25 +88,17 @@ class StationaryDistribution:
 
     def support_for_mass(self, mass: float = 1.0 - 1e-6, k_cap: int = 10_000_000) -> int:
         """Smallest k whose CDF holds at least ``mass``: CCDF(k + 1) <= 1 - mass."""
-        k_max = self.support_start + 64
+        k_max = self.params.m_hat + 64
         while k_max <= k_cap:
             held = self.ccdf_array(k_max + 1)[1:] <= 1.0 - mass
             if held.any():
-                return self.support_start + int(np.argmax(held))
+                return self.params.m_hat + int(np.argmax(held))
             k_max *= 2
         raise ValueError(f"support above {k_cap} needed to hold mass {mass}")
 
     def quantile(self, q: float) -> int:
         """Smallest k with CDF(k) >= q."""
         return self.support_for_mass(q)
-
-
-def stationary_pmf(params: ModelParams, k: int) -> float:
-    return StationaryDistribution(params).pmf(k)
-
-
-def stationary_ccdf(params: ModelParams, k: int) -> float:
-    return StationaryDistribution(params).ccdf(k)
 
 
 def stationary_pmf_closed_form(params: ModelParams, k: int) -> float:

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .likelihood import _sum_log_factors
-from .netmodel import AttachmentRecord, SampleLog
+from .netmodel import SampleLog
 
 #: a decrease of the objective beyond this slack indicates a bug
 MONOTONICITY_SLACK = 1e-9
@@ -40,34 +40,10 @@ class EmConfig:
 
 
 def _mixture(ke, n_prev, alpha: float, pref=None, total=None):
-    """Preferential and full mixture densities of a record or of arrays of
-    them, written into the arrays ``pref`` and ``total`` if given."""
+    """Preferential and full mixture densities of arrays of records, written
+    into the arrays ``pref`` and ``total`` if given."""
     pref = np.multiply(ke, alpha, out=pref)
     return pref, np.add(pref, np.divide(1.0 - alpha, n_prev, out=total), out=total)
-
-
-def responsibility(record: AttachmentRecord, alpha: float) -> float:
-    """Posterior probability that the record's edge used preferential attachment."""
-    pref, total = _mixture(record.k / record.e_prev, record.n_prev, alpha)
-    if total <= 0:
-        raise ValueError(
-            f"zero mixture density for record {record} at alpha={alpha}"
-        )
-    return float(pref / total)
-
-
-def em_step(log: SampleLog, alpha: float) -> float:
-    """One update: the mean responsibility over all records."""
-    if len(log) == 0:
-        raise ValueError("EM step on an empty log")
-    pref, total = _mixture(log.k / log.e_prev, log.n_prev, alpha)
-    if (total <= 0).any():
-        i = int(np.argmax(total <= 0))
-        raise ValueError(
-            f"zero mixture density at alpha={alpha} for record {i} "
-            f"(k={log.k[i]}, e_prev={log.e_prev[i]}, n_prev={log.n_prev[i]})"
-        )
-    return float((pref / total).mean())
 
 
 @dataclass
@@ -115,7 +91,7 @@ def _em_iterate(log, kept, d, c, cfg: EmConfig, barrier, posts, part,
     of the records: ``ke``, ``n_prev``, ``d_part``, ``c_part`` and the work buffers
     ``a`` and ``b``.  At each iterate alpha a step sums over its part the log
     factors of ``log_likelihood`` and, unless the loop ends there, the
-    responsibilities of ``em_step`` (``_mixture``), and posts both sums in
+    responsibilities (``_mixture``'s E-step), and posts both sums in
     ``posts[i % 2]``, where a step one barrier ahead writes nothing another still
     reads.  After the barrier every step adds the parts' sums in part order, so
     all take the same decisions and raise the same errors.  A step whose own work

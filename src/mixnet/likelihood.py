@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import AttachmentRecord, SampleLog
+from .netmodel import SampleLog
 
 #: margin kept inside (0, 1)
 INTERIOR_MARGIN = 1e-9
@@ -64,11 +64,11 @@ def log_likelihood(log: SampleLog, alpha: float) -> float:
     return _sum_log_factors(log, d * alpha + c, alpha)
 
 
-def _sum_log_factors(log: SampleLog, factors, alpha: float, out=None, kept=None) -> float:
-    """Sum of log factors (logged into ``out``) of the records of ``log`` that the mask
-    ``kept`` marks (default all); a non-positive or non-finite factor raises EvaluationError."""
+def _sum_log_factors(log: SampleLog, factors, alpha: float, kept=None) -> float:
+    """Sum of log factors of the records of ``log`` that the mask ``kept`` marks
+    (default all); a non-positive or non-finite factor raises EvaluationError."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        total = float(np.log(factors, out=out).sum())
+        total = float(np.log(factors).sum())
     if not math.isfinite(total):  # the log of a bad factor is -inf, inf or nan
         i = int(np.argmax((factors <= 0) | ~np.isfinite(factors)))
         j = i if kept is None else int(np.flatnonzero(kept)[i])
@@ -79,13 +79,6 @@ def _sum_log_factors(log: SampleLog, factors, alpha: float, out=None, kept=None)
             record_index=i,
         )
     return total
-
-
-def snapshot_log_likelihood(records: list[AttachmentRecord], alpha: float) -> float:
-    """Log-likelihood of a single step's multiset (empty multiset gives 0)."""
-    if not records:
-        return 0.0
-    return log_likelihood(SampleLog.from_steps([records]), alpha)
 
 
 @dataclass

@@ -179,17 +179,6 @@ class GrowingNetwork:
         return self.in_degree
 
 
-def attachment_probability(k: int, e_prev: int, n_prev: int, alpha: float) -> float:
-    """Probability that a single attachment edge targets a node of in-degree k."""
-    if e_prev <= 0 or n_prev <= 0:
-        raise ValueError("e_prev and n_prev must be positive")
-    if not 0 <= k <= e_prev:
-        raise ValueError(f"in-degree {k} outside [0, {e_prev}]")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha * (k / e_prev - 1 / n_prev) + 1 / n_prev
-
-
 _DRAW_CHUNK = 1 << 16  # draws generated at a time: bounds the buffer for any T
 _BULK_MIN = 1 << 13  # draws below which moving the generator state costs more
 _MIN_WINDOW, _MAX_WINDOW = 16, 4096  # steps speculated at once

@@ -246,6 +246,21 @@ def read_pairs(path, expected: str, dated: bool = False) -> tuple[list, np.ndarr
     return labels, np.stack([codes, ordinal]) if dated else codes.reshape(2, -1)
 
 
+def reference_em_step(log: SampleLog, alpha: float) -> float:
+    """``em.em_step`` before its deletion: one EM update, the mean responsibility
+    over all records.  Kept verbatim as the fixed-point oracle of ``em_estimate``."""
+    if len(log) == 0:
+        raise ValueError("EM step on an empty log")
+    pref, total = _mixture(log.k / log.e_prev, log.n_prev, alpha)
+    if (total <= 0).any():
+        i = int(np.argmax(total <= 0))
+        raise ValueError(
+            f"zero mixture density at alpha={alpha} for record {i} "
+            f"(k={log.k[i]}, e_prev={log.e_prev[i]}, n_prev={log.n_prev[i]})"
+        )
+    return float((pref / total).mean())
+
+
 def reference_em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:
     """``em.em_estimate`` before its split into a set-up and an iteration step
     that writes into two buffers, kept verbatim as the split's oracle."""

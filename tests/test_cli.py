@@ -12,6 +12,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 import warnings
 from unittest import mock
 
@@ -945,3 +946,13 @@ def test_import_loads_no_scipy_or_process_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_all_lists_what_init_binds():
+    # __init__ names each export twice, in an import and in __all__
+    assert mixnet.__all__ == sorted(set(mixnet.__all__))
+    for name in mixnet.__all__:
+        getattr(mixnet, name)
+    bound = {name for name, value in vars(mixnet).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(mixnet.__all__) == bound

@@ -15,8 +15,6 @@ from mixnet import (
     finite_t_pmf,
     grow_sequence,
     make_rng,
-    stationary_ccdf,
-    stationary_pmf,
 )
 from mixnet.degree_dist import (
     SupportOverflowError,
@@ -42,17 +40,18 @@ param_strategy = st.builds(
 class TestStationaryPmf:
     def test_base_case_pinned(self):
         # (m + m_hat) / (m^2 + m*m_hat + m + m_hat - alpha*m^2) = 8/33
-        assert stationary_pmf(P536, 3) == pytest.approx(8.0 / 33.0, abs=1e-15)
+        assert StationaryDistribution(P536).pmf(3) == pytest.approx(8.0 / 33.0, abs=1e-15)
 
     def test_uniform_limit_is_geometric(self):
         params = ModelParams(m=5, m_hat=3, alpha=0.0)
+        dist = StationaryDistribution(params)
         for k in range(3, 30):
             expect = (1.0 / 6.0) * (5.0 / 6.0) ** (k - 3)
-            assert stationary_pmf(params, k) == pytest.approx(expect, rel=1e-12)
+            assert dist.pmf(k) == pytest.approx(expect, rel=1e-12)
 
     def test_below_support_rejected(self):
         with pytest.raises(ValueError):
-            stationary_pmf(P536, 2)
+            StationaryDistribution(P536).pmf(2)
 
     @given(params=param_strategy)
     @settings(max_examples=60, deadline=None)
@@ -76,14 +75,16 @@ class TestStationaryPmf:
 
 class TestStationaryCcdf:
     def test_pinned_values(self):
-        assert stationary_ccdf(P536, 3) == 1.0
-        assert stationary_ccdf(P536, 4) == pytest.approx(25.0 / 33.0, rel=1e-12)
+        dist = StationaryDistribution(P536)
+        assert dist.ccdf_array(3)[-1] == 1.0
+        assert dist.ccdf_array(4)[-1] == pytest.approx(25.0 / 33.0, rel=1e-12)
 
     def test_uniform_limit(self):
         params = ModelParams(m=5, m_hat=3, alpha=0.0)
-        assert stationary_ccdf(params, 5) == pytest.approx((5.0 / 6.0) ** 2, rel=1e-10)
+        dist = StationaryDistribution(params)
+        assert dist.ccdf_array(5)[-1] == pytest.approx((5.0 / 6.0) ** 2, rel=1e-10)
         # deep tail: 1 - cumsum alone would lose all precision here
-        assert stationary_ccdf(params, 203) == pytest.approx(
+        assert dist.ccdf_array(203)[-1] == pytest.approx(
             (5.0 / 6.0) ** 200, rel=1e-6
         )
 

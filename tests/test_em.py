@@ -18,55 +18,60 @@ from mixnet import (
     SeedSpec,
     ModelParams,
     em_estimate,
-    em_step,
     grow_sequence,
     make_rng,
     mle_estimate,
-    responsibility,
 )
 import mixnet.em
 from mixnet.cli import main
-from mixnet.em import MONOTONICITY_SLACK, em_setup
+from mixnet.em import MONOTONICITY_SLACK, _mixture, em_setup
 from mixnet.likelihood import EvaluationError, _sum_log_factors
 
 import conftest
-from conftest import random_log, reference_em_estimate
+from conftest import random_log, reference_em_estimate, reference_em_step
+
+
+def first_update(log: SampleLog, alpha: float, keep_zero_indegree: bool = False) -> float:
+    """EM's first update from ``alpha``: the mean responsibility of the records."""
+    cfg = EmConfig(alpha_init=alpha, max_iter=1, keep_zero_indegree=keep_zero_indegree)
+    return em_estimate(log, cfg).iterations[1][0]
 
 
 class TestResponsibility:
     def test_pinned_value(self):
         # pref = (2/6)*0.5 = 1/6, rand = 0.5/6 = 1/12 -> 2/3
-        r = responsibility(AttachmentRecord(2, 6, 6), 0.5)
+        r = first_update(SampleLog.from_steps([[AttachmentRecord(2, 6, 6)]]), 0.5)
         assert r == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_zero_indegree_gives_zero(self):
-        assert responsibility(AttachmentRecord(0, 10, 5), 0.7) == 0.0
+        log = SampleLog.from_steps([[AttachmentRecord(0, 10, 5)]])
+        assert first_update(log, 0.7, keep_zero_indegree=True) == 0.0
 
     def test_extremes(self):
-        rec = AttachmentRecord(2, 6, 6)
-        assert responsibility(rec, 0.0) == 0.0
-        assert responsibility(rec, 1.0) == 1.0
+        ke, n_prev = np.array([2 / 6]), np.array([6.0])
+        for alpha, expect in ((0.0, 0.0), (1.0, 1.0)):
+            pref, total = _mixture(ke, n_prev, alpha)
+            assert (pref / total).tolist() == [expect]
 
     def test_degenerate_density_raises(self):
-        with pytest.raises(ValueError, match="zero mixture density"):
-            responsibility(AttachmentRecord(0, 10, 5), 1.0)
+        # at alpha = 1 a k = 0 record has mixture density 0, the factor EM logs
+        cfg = EmConfig(max_iter=1, keep_zero_indegree=True)
+        object.__setattr__(cfg, "alpha_init", 1.0)
+        with pytest.raises(ValueError, match="non-positive likelihood factor at alpha=1.0"):
+            em_estimate(SampleLog.from_steps([[AttachmentRecord(0, 10, 5)]]), cfg)
 
 
 class TestSharedEStep:
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.6, 0.97])
     def test_update_is_bit_identical(self, alpha):
-        # em_step, one em_estimate iteration and responsibility share one E-step
+        # EM's update over a log is the mean of its records' own updates, bit
+        # for bit: each record's responsibility comes from the one E-step
         rng = random.Random(int(alpha * 100))
         for _ in range(20):
             log = random_log(rng, max_records=40, require_positive_k=True)
-            kept = log.drop_zero_indegree()
-            trace = em_estimate(log, EmConfig(alpha_init=alpha, max_iter=1))
-            assert trace.iterations[1][0] == em_step(kept, alpha)
-            for record in kept.records():
-                one = SampleLog.from_steps([[record]])
-                first = em_estimate(one, EmConfig(alpha_init=alpha, max_iter=1))
-                assert first.iterations[1][0] == em_step(one, alpha) \
-                    == responsibility(record, alpha)
+            ones = [first_update(SampleLog.from_steps([[record]]), alpha)
+                    for record in log.drop_zero_indegree().records()]
+            assert first_update(log, alpha) == float(np.mean(ones))
 
 
 class TestEmStep:
@@ -75,18 +80,18 @@ class TestEmStep:
         log = SampleLog(
             np.array([2, 2]), np.array([6, 6]), np.array([6, 3]), np.array([1, 2])
         )
-        assert em_step(log, 0.5) == pytest.approx(7.0 / 12.0, abs=1e-15)
+        assert first_update(log, 0.5) == pytest.approx(7.0 / 12.0, abs=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            em_step(SampleLog.empty(), 0.5)
+        with pytest.raises(ValueError, match="empty log"):
+            em_estimate(SampleLog.empty(), EmConfig(max_iter=1))
 
     def test_range(self):
         rng = random.Random(0)
         for _ in range(50):
             log = random_log(rng)
             alpha = 0.05 + 0.9 * rng.random()
-            assert 0.0 <= em_step(log, alpha) <= 1.0
+            assert 0.0 <= first_update(log, alpha, keep_zero_indegree=True) <= 1.0
 
 
 class TestEmConfig:
@@ -111,7 +116,7 @@ class TestEmEstimate:
             assert trace.converged
             a = trace.final_alpha
             working = log.drop_zero_indegree()
-            assert em_step(working, a) == pytest.approx(a, abs=1e-6)
+            assert reference_em_step(working, a) == pytest.approx(a, abs=1e-6)
 
     def test_objective_never_decreases(self):
         rng = random.Random(2)
@@ -215,7 +220,7 @@ class TestSplitEmMatchesOracle:
         with pytest.raises(EvaluationError) as kept:
             _sum_log_factors(log.drop_zero_indegree(), factors, 0.3)
         with pytest.raises(EvaluationError) as mapped:
-            _sum_log_factors(log, factors, 0.3, out=np.empty(2), kept=log.k > 0)
+            _sum_log_factors(log, factors, 0.3, kept=log.k > 0)
         assert str(mapped.value) == str(kept.value)
         assert "record 1 (k=5, e_prev=9, n_prev=7)" in str(kept.value)
         assert mapped.value.record_index == kept.value.record_index == 1

@@ -24,7 +24,6 @@ from mixnet import (
     prefix_estimates,
     root_bracket,
     root_profile,
-    snapshot_log_likelihood,
     step_estimates,
 )
 from mixnet.likelihood import (
@@ -100,9 +99,10 @@ class TestLogLikelihood:
         assert exc.value.record_index == index
 
     def test_snapshot_wrapper(self):
-        records = [AttachmentRecord(3, 8, 4)]
-        assert snapshot_log_likelihood(records, 0.0) == pytest.approx(math.log(0.25))
-        assert snapshot_log_likelihood([], 0.7) == 0.0
+        # one step's multiset; the empty multiset gives 0
+        log = SampleLog.from_steps([[AttachmentRecord(3, 8, 4)]])
+        assert log_likelihood(log, 0.0) == pytest.approx(math.log(0.25))
+        assert log_likelihood(SampleLog.from_steps([[]]), 0.7) == 0.0
 
 
 class TestRootProfile:
