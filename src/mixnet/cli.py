@@ -20,10 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .degree_dist import StationaryDistribution, ccdf_from_indegrees
-from .em import EmConfig, em_setup
-from .ingest import build_replay, load_dataset, replay_to_samplelog
-from .likelihood import mle_estimate, prefix_estimates, step_estimates
+# each subcommand imports the estimator, distribution and ingest modules it runs
 from .netmodel import (
     ModelParams,
     SampleLog,
@@ -90,12 +87,14 @@ class _Run:
         })
 
 
-def _with_em(log: SampleLog, cfg: EmConfig, work=None) -> tuple:
+def _with_em(log: SampleLog, cfg, work=None) -> tuple:
     """``work()``'s result and EM's trace on ``log``.  EM iterates on one worker
     thread while this thread runs ``work``; with no work, this thread runs the
     first part of EM's records.  EM's error goes before work's, and a Ctrl-C
     stops EM at its next iteration."""
     from concurrent.futures import ThreadPoolExecutor
+
+    from .em import em_setup
 
     steps, stop = em_setup(log, cfg, split=work is None)
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -132,12 +131,17 @@ def cmd_simulate(args, run: _Run) -> None:
 
 
 def cmd_estimate(args, run: _Run) -> None:
+    from .likelihood import mle_estimate, prefix_estimates, step_estimates
+
     if args.trace and args.stride < 1:
         raise ValueError(f"stride must be >= 1, got {args.stride}")
-    cfg = EmConfig(
-        alpha_init=args.alpha_init, epsilon=args.epsilon, max_iter=args.max_iter,
-        keep_zero_indegree=args.keep_zero_indegree,
-    )
+    if args.method != "mle":  # the EM flags, and the em module, serve only EM
+        from .em import EmConfig
+
+        cfg = EmConfig(
+            alpha_init=args.alpha_init, epsilon=args.epsilon, max_iter=args.max_iter,
+            keep_zero_indegree=args.keep_zero_indegree,
+        )
     sample_log = SampleLog.from_csv(args.log)
     result: dict = {}
 
@@ -185,6 +189,8 @@ def _ensemble_member(job) -> np.ndarray:
 
 
 def cmd_dist(args, run: _Run) -> None:
+    from .degree_dist import StationaryDistribution, ccdf_from_indegrees
+
     params = ModelParams(m=args.m, m_hat=args.m_hat, alpha=args.alpha)
     if args.k_max < params.m_hat:
         raise ValueError(f"k-max {args.k_max} below the support start m_hat={params.m_hat}")
@@ -222,6 +228,11 @@ def cmd_dist(args, run: _Run) -> None:
 
 
 def cmd_cite(args, run: _Run) -> None:
+    from .degree_dist import StationaryDistribution, ccdf_from_indegrees
+    from .em import EmConfig
+    from .ingest import build_replay, load_dataset, replay_to_samplelog
+    from .likelihood import mle_estimate
+
     if args.k_max < 0:
         raise ValueError("k-max must be >= 0 (0: data max)")
     ModelParams(m=args.m, m_hat=args.m_hat, alpha=0.0)  # checks --m and --m-hat

@@ -2,6 +2,7 @@
 
 import datetime
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -12,7 +13,6 @@ import sys
 import tempfile
 import threading
 import time
-import types
 import warnings
 from unittest import mock
 
@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixnet
-from mixnet import ModelParams, SampleLog, em_estimate, mle_estimate, netmodel
+from mixnet import (ModelParams, SampleLog, degree_dist, em_estimate, likelihood,
+                    mle_estimate, netmodel)
 from mixnet.cli import build_parser, main
 from mixnet.likelihood import NoInformationError
 
@@ -709,8 +710,8 @@ class TestSampleLogFuzz:
 @pytest.mark.parametrize("target,argv", [
     ("mixnet.cli.grow_sequence", ["simulate", "complete:3", "--m", 5, "--m-hat", 3,
                                   "--steps", 30000000]),
-    ("mixnet.cli.StationaryDistribution.pmf_array", ["dist", "--m", 5, "--m-hat", 3,
-                                                     "--alpha", 0.6, "--k-max", 3000000000]),
+    ("mixnet.degree_dist.StationaryDistribution.pmf_array",
+     ["dist", "--m", 5, "--m-hat", 3, "--alpha", 0.6, "--k-max", 3000000000]),
 ])
 def test_out_of_memory_exits_1_without_output_dir(tmp_path, capsys, target, argv):
     # numpy reports a failed allocation as a MemoryError subclass
@@ -820,7 +821,7 @@ class TestEmWorker:
     def test_cite_exits_1_without_output_dir(self, tmp_path, capsys, monkeypatch, failing_em,
                                              other_fails):
         if other_fails:  # the work this thread does meanwhile fails too
-            monkeypatch.setattr(mixnet.cli, "ccdf_from_indegrees",
+            monkeypatch.setattr(degree_dist, "ccdf_from_indegrees",
                                 mock.Mock(side_effect=ValueError("ccdf failed")))
         edges, dates = tmp_path / "e.txt", tmp_path / "d.txt"
         for path, text in zip((edges, dates), TestCite.pinned_corpus()):
@@ -836,7 +837,7 @@ class TestEmWorker:
     def test_estimate_trace_exits_1_with_em_error(self, tmp_path, capsys, monkeypatch, samplelog,
                                                   failing_em, trace_fails):
         if trace_fails:
-            monkeypatch.setattr(mixnet.cli, "prefix_estimates",
+            monkeypatch.setattr(likelihood, "prefix_estimates",
                                 mock.Mock(side_effect=ValueError("trace failed")))
         out = tmp_path / "out"
         assert run(["estimate", samplelog, "--trace", "--stride", 20, "--out", out]) == 1
@@ -846,7 +847,7 @@ class TestEmWorker:
 
     def test_trace_error_reported_when_em_succeeds(self, tmp_path, capsys, monkeypatch,
                                                    samplelog):
-        monkeypatch.setattr(mixnet.cli, "prefix_estimates",
+        monkeypatch.setattr(likelihood, "prefix_estimates",
                             mock.Mock(side_effect=ValueError("trace failed")))
         out = tmp_path / "out"
         assert run(["estimate", samplelog, "--trace", "--out", out]) == 1
@@ -935,24 +936,75 @@ class TestSplitEm:
         assert set(threading.enumerate()) == before
 
 
+def fresh_interpreter(code: str, *args) -> str:
+    """stdout of ``code`` run with ``args`` in a fresh interpreter on this mixnet tree."""
+    src = os.path.dirname(os.path.dirname(mixnet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_import_loads_no_scipy_or_process_pool():
     # nor fractions and decimal, which only the root_profile diagnostic uses
-    src = os.path.dirname(os.path.dirname(mixnet.__file__))
     code = ("import sys, mixnet.cli; print(sorted(m for m in sys.modules "
             "if m.startswith('scipy') or m in "
             "('concurrent.futures.process', 'fractions', 'decimal')))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert fresh_interpreter(code).strip() == "[]"
 
 
-def test_all_lists_what_init_binds():
-    # __init__ names each export twice, in an import and in __all__
-    assert mixnet.__all__ == sorted(set(mixnet.__all__))
-    for name in mixnet.__all__:
-        getattr(mixnet, name)
-    bound = {name for name, value in vars(mixnet).items()
-             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert set(mixnet.__all__) == bound
+def test_import_loads_only_netmodel_and_no_logging():
+    code = ("import json, sys, mixnet.cli; print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('mixnet', 'logging'))))")
+    assert json.loads(fresh_interpreter(code)) == ["mixnet", "mixnet.cli", "mixnet.netmodel"]
+
+
+#: prints the exit code of ``main(argv)`` after ``import mixnet.cli`` and the
+#: mixnet modules the call loaded
+SUBCOMMAND_MODULES = """
+import contextlib, io, json, sys
+import mixnet.cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = mixnet.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules.keys() - before if m.startswith("mixnet"))]))
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["simulate", "complete:4", "--m", 2, "--m-hat", 1, "--steps", 30], []),
+    (["dist", "--m", 2, "--m-hat", 1, "--alpha", 0.5, "--k-max", 12], ["degree_dist"]),
+    (["estimate", "{log}", "--method", "mle", "--trace", "--stride", 20], ["likelihood"]),
+    (["estimate", "{log}", "--method", "both"], ["em", "likelihood"]),
+], ids=["simulate", "dist", "estimate-mle", "estimate-both"])
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, samplelog, argv, loaded):
+    argv = [str(a).format(log=samplelog) for a in argv] + ["--out", str(tmp_path / "out")]
+    code, modules = json.loads(fresh_interpreter(SUBCOMMAND_MODULES, json.dumps(argv)))
+    assert code == 0
+    assert modules == [f"mixnet.{name}" for name in loaded]
+
+
+class TestLazyExports:
+    """``mixnet`` imports each exported name from its module on first use."""
+
+    def test_all_is_the_sorted_name_map(self):
+        assert mixnet.__all__ == sorted(mixnet._EXPORTS)
+        assert len(mixnet.__all__) == 23
+
+    def test_each_name_is_its_modules_object(self):
+        for name, module in mixnet._EXPORTS.items():
+            defining = importlib.import_module(f"mixnet.{module}")
+            assert getattr(mixnet, name) is getattr(defining, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            mixnet.no_such_name
+        assert not hasattr(mixnet, "no_such_name")
+
+    def test_fresh_package_lists_names_and_imports_modules(self):
+        # perfbench/run.py and tools/layers.py import the modules this way
+        modules = ["degree_dist", "em", "ingest", "likelihood", "netmodel"]
+        code = ("import json, mixnet; listed = set(mixnet.__all__) <= set(dir(mixnet)); "
+                f"from mixnet import {', '.join(modules)}; "
+                f"print(json.dumps([listed, [m.__name__ for m in ({', '.join(modules)})]]))")
+        assert json.loads(fresh_interpreter(code)) == [True, [f"mixnet.{m}" for m in modules]]

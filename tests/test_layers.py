@@ -1,5 +1,6 @@
-"""Smoke test of tools/layers.py: eight layers, one tree against itself."""
+"""Smoke test of tools/layers.py: ten layers, one tree against itself."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,13 +16,14 @@ def test_same_tree_times_and_digests_each_layer():
     src = os.path.dirname(os.path.dirname(mixnet.__file__))
     done = subprocess.run([sys.executable, TOOL, src, src, "--reps", "1", "--steps", "200",
                            "--papers", "400",
-                           "--layers", "prefix-100-0.6,trace,grow-0.6,grow-step,cite-load,"
-                           "em-0.6,em2-0.6,estimate-trace"],
+                           "--layers", "import-cli,prefix-100-0.6,trace,grow-0.6,grow-step,"
+                           "simulate,cite-load,em-0.6,em2-0.6,estimate-trace"],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert list(report["layers"]) == ["prefix-100-0.6", "trace", "grow-0.6", "grow-step",
-                                      "cite-load", "em-0.6", "em2-0.6", "estimate-trace"]
+    assert list(report["layers"]) == ["import-cli", "prefix-100-0.6", "trace", "grow-0.6",
+                                      "grow-step", "simulate", "cite-load", "em-0.6", "em2-0.6",
+                                      "estimate-trace"]
     for layer, entry in report["layers"].items():
         assert entry["same"]
         assert entry["change_faster_pairs"] in (0, 1)
@@ -32,8 +34,8 @@ def test_same_tree_times_and_digests_each_layer():
             first = [entry[side].get(f"first_{q}_s") for q in ("q1", "median", "q3")]
             assert sorted(first) == first if layer.startswith("grow") else first == [None] * 3
             assert len(entry[side]["sha256"]) == 64
-            if layer.startswith(("grow", "cite-load", "em")):
-                # growth, loading and EM make no MLE solve
+            if layer.startswith(("import", "grow", "simulate", "cite-load", "em")):
+                # importing, growth, loading and EM make no MLE solve
                 assert entry[side]["passes_per_solve"] == 0
             else:
                 # a warm-started solve at least evaluates the score once
@@ -41,3 +43,7 @@ def test_same_tree_times_and_digests_each_layer():
     # the split EM gives em_estimate's iterates, convergence flag and estimate
     em, em2 = report["layers"]["em-0.6"], report["layers"]["em2-0.6"]
     assert em2["base"]["sha256"] == em["base"]["sha256"]
+    # the import's digest is the modules it loaded: mixnet, cli and netmodel
+    modules = ["mixnet", "mixnet.cli", "mixnet.netmodel"]
+    digest = hashlib.sha256("".join(f"{m!r}\n" for m in modules).encode()).hexdigest()
+    assert report["layers"]["import-cli"]["base"]["sha256"] == digest

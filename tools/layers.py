@@ -8,10 +8,12 @@ Each layer runs ``--reps`` times per side, every time in a fresh interpreter
 with ``PYTHONPATH`` set to that side's tree; the sides alternate, and so does
 which of them goes first.  A run builds its input untimed, calls the layer
 once to warm up, times one call, and then makes one more call with
-``likelihood._derivative`` wrapped to count the rows it evaluates.  A
-``grow-*`` run instead times its first call and ``GROW_CALLS`` calls after it:
-the first call of a fresh interpreter varies widely, so the best of the later
-ones is the layer's time and the first is reported on its own.
+``likelihood._derivative`` wrapped to count the rows it evaluates.  An
+``import-cli`` run times its one call, the interpreter's first import of
+mixnet, with no warm-up and no counted call.  A ``grow-*`` run instead times
+its first call and ``GROW_CALLS`` calls after it: the first call of a fresh
+interpreter varies widely, so the best of the later ones is the layer's time
+and the first is reported on its own.
 
 The layers (FIG3 means m=5, m_hat=3, a complete 3-node seed and ``--steps``
 growth steps, default 20000; a FIG3 log is the one ``perfbench/inputs.py``'s
@@ -25,6 +27,11 @@ mixnet's growth kernel):
   ``grow_sequence`` grows in ``--steps`` steps from ``make_rng(1)`` (without
   edge storage), each call from that network and the rng state it left; its
   result is the records and the final in-degrees;
+- ``import-cli``: ``import mixnet.cli``, the fixed cost of every CLI call; its
+  result is the sorted names of the ``mixnet`` modules the import loaded;
+- ``simulate``: ``mixnet.cli.main`` on ``simulate complete:3 --m 5 --m-hat 3
+  --alpha 0.6 --steps <steps> --rng-seed 1``, FIG3 through the CLI; its result
+  is stdout and the bytes of ``samplelog.csv``;
 - ``redraw-S`` and ``redraw-S-bulk``: the redraw-bound call, ``grow_sequence``
   from a complete 2-node seed with m=3, m_hat=0 and alpha 1 - 1e-9 for S
   steps (2 or 50), whose step 2 redraws until the bound stops it; ``-bulk``
@@ -67,12 +74,13 @@ It prints one JSON object: for each layer and side the median and quartiles
 of the timed call in seconds, the sha256 of the layer's result (its reprs,
 its arrays' bytes, or the bytes of the files ``main`` wrote), the
 ``_derivative`` row passes per solve (0 for a layer that solves nothing: the
-growth, redraw, EM, ``cite-load`` and ``cite-replay`` layers), and whether both
-sides' results are equal; a ``grow-*`` layer adds the median and quartiles of
-its first calls (``first_*``).  With two sides, each layer also reports in how
-many of its ``--reps`` pairs of runs (the i-th run of each side) the change's
-call was the faster (and for ``grow-*`` the first call, too), which a
-few-percent move can show when the quartiles of one-call timings overlap.
+import, growth, ``simulate``, redraw, EM, ``cite-load`` and ``cite-replay``
+layers), and whether both sides' results are equal; a ``grow-*`` layer adds
+the median and quartiles of its first calls (``first_*``).  With two sides,
+each layer also reports in how many of its ``--reps`` pairs of runs (the i-th
+run of each side) the change's call was the faster (and for ``grow-*`` the
+first call, too), which a few-percent move can show when the quartiles of
+one-call timings overlap.
 """
 
 from __future__ import annotations
@@ -96,8 +104,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: the calls a ``grow-*`` run times after its first
 GROW_CALLS = 5
-LAYERS = ("grow-0", "grow-0.6", "grow-1", "grow-step", "redraw-2", "redraw-50",
-          "redraw-2-bulk", "redraw-50-bulk", "mle-0", "mle-0.6", "mle-1", "solve-0.6",
+LAYERS = ("import-cli", "grow-0", "grow-0.6", "grow-1", "grow-step", "simulate", "redraw-2",
+          "redraw-50", "redraw-2-bulk", "redraw-50-bulk", "mle-0", "mle-0.6", "mle-1", "solve-0.6",
           "prefix-100-0", "prefix-100-0.6", "prefix-100-1", "prefix-5000-0.6", "step-0.6",
           "em-0.6", "em2-0.6", "cite-load", "cite-replay", "cite-mle", "cite-em", "cite", "trace",
           "snapshot", "estimate", "estimate-trace")
@@ -148,6 +156,13 @@ def grow_steps(steps: int):
         return [records, grown.in_degree.astype("<i8").tobytes()]
 
     return call
+
+
+def import_cli() -> list:
+    """The ``import-cli`` call: the ``mixnet`` modules ``import mixnet.cli`` loads."""
+    import mixnet.cli  # noqa: F401
+
+    return sorted(name for name in sys.modules if name.split(".")[0] == "mixnet")
 
 
 def redraw(steps: int, bulk: bool) -> list:
@@ -253,6 +268,10 @@ def prepare(layer: str, steps: int, papers: int, work: Path):
         return grow_steps(steps), lambda result: 0
     if kind == "grow":
         return lambda: grow(float(rest[0]), steps), lambda result: 0
+    if kind == "simulate":
+        argv = ["simulate", "complete:3", "--m", "5", "--m-hat", "3", "--alpha", "0.6",
+                "--steps", str(steps), "--rng-seed", "1"]
+        return main_call(argv, work, ("samplelog.csv",)), lambda result: 0
     if kind == "redraw":
         return lambda: redraw(int(rest[0]), rest[1:] == ["bulk"]), lambda result: 0
     if kind == "mle":
@@ -293,8 +312,16 @@ def timed(call) -> tuple:
     return time.perf_counter() - start, result
 
 
+def digest(result: list) -> str:
+    data = b"".join(x if isinstance(x, bytes) else repr(x).encode() + b"\n" for x in result)
+    return hashlib.sha256(data).hexdigest()
+
+
 def worker(layer: str, steps: int, papers: int) -> dict:
     """The timed calls of ``layer`` in this interpreter, as a JSON-ready dict."""
+    if layer == "import-cli":  # only an interpreter's first import loads anything
+        seconds, result = timed(import_cli)
+        return {"seconds": seconds, "sha256": digest(result), "passes_per_solve": 0}
     from mixnet import likelihood
 
     times = {}
@@ -317,8 +344,7 @@ def worker(layer: str, steps: int, papers: int) -> dict:
             call()
         finally:
             likelihood._derivative = derivative
-    data = b"".join(x if isinstance(x, bytes) else repr(x).encode() + b"\n" for x in result)
-    return {**times, "sha256": hashlib.sha256(data).hexdigest(),
+    return {**times, "sha256": digest(result),
             "passes_per_solve": passes[0] / max(solves(result), 1)}
 
 
