@@ -87,32 +87,6 @@ class _Run:
         })
 
 
-def _with_em(log: SampleLog, cfg, work=None) -> tuple:
-    """``work()``'s result and EM's trace on ``log``.  EM iterates on one worker
-    thread while this thread runs ``work``; with no work, this thread runs the
-    first part of EM's records.  EM's error goes before work's, and a Ctrl-C
-    stops EM at its next iteration."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .em import em_setup
-
-    steps, stop = em_setup(log, cfg, split=work is None)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        try:
-            job = pool.submit(steps[-1])
-            try:
-                done = work() if work else None
-                for step in steps[:-1]:
-                    step()
-            except Exception:
-                job.result()  # EM's error goes first, as when it ran first
-                raise
-            return done, job.result()
-        except KeyboardInterrupt:
-            stop()  # the worker ends at its next iteration, not at EM's end
-            raise
-
-
 def cmd_simulate(args, run: _Run) -> None:
     seed_spec = _resolve_seed_spec(args.seed_spec)
     params = ModelParams(m=args.m, m_hat=args.m_hat, alpha=args.alpha)
@@ -136,7 +110,7 @@ def cmd_estimate(args, run: _Run) -> None:
     if args.trace and args.stride < 1:
         raise ValueError(f"stride must be >= 1, got {args.stride}")
     if args.method != "mle":  # the EM flags, and the em module, serve only EM
-        from .em import EmConfig
+        from .em import EmConfig, em_estimate
 
         cfg = EmConfig(
             alpha_init=args.alpha_init, epsilon=args.epsilon, max_iter=args.max_iter,
@@ -149,28 +123,30 @@ def cmd_estimate(args, run: _Run) -> None:
         # k=0 records stay in the MLE input: they contribute roots at 1
         result["mle"] = mle_estimate(sample_log).to_dict()
 
-    def trace_rows() -> list:
+    rows: list = []  # the trace's (t, alpha_hat) rows
+
+    def trace_rows() -> None:
         if args.snapshot_mode:
-            return step_estimates(sample_log)
+            rows.extend(step_estimates(sample_log))
+            return
         # a replayed log starts at its first arrival that cites anything
         # (the estimates above have rejected an empty log)
         first = int(sample_log.step[0])
         start = -(-first // args.stride) * args.stride
         steps = range(start, sample_log.n_steps + 1, args.stride)
-        return list(zip(steps, prefix_estimates(sample_log, steps)))
+        rows.extend(zip(steps, prefix_estimates(sample_log, steps)))
 
-    if args.method == "mle":
-        trace, rows = None, trace_rows() if args.trace else None
-    else:
-        # without a trace, this thread and the worker split EM's records
-        rows, trace = _with_em(sample_log, cfg, trace_rows if args.trace else None)
-    if trace is not None:
+    if args.method != "mle":
+        # EM iterates beside the trace; without one, this thread runs part of EM's records
+        trace = em_estimate(sample_log, cfg, trace_rows if args.trace else None)
         result["em"] = {
             "alpha_hat": trace.final_alpha,
             "converged": trace.converged,
             "iterations": len(trace.iterations) - 1,
             "loglik": trace.iterations[-1][1],
         }
+    elif args.trace:
+        trace_rows()
 
     if "em" in result:
         run.write_csv("em_trace.csv", ["iter", "alpha", "loglik"],
@@ -229,7 +205,7 @@ def cmd_dist(args, run: _Run) -> None:
 
 def cmd_cite(args, run: _Run) -> None:
     from .degree_dist import StationaryDistribution, ccdf_from_indegrees
-    from .em import EmConfig
+    from .em import EmConfig, em_estimate
     from .ingest import build_replay, load_dataset, replay_to_samplelog
     from .likelihood import mle_estimate
 
@@ -248,12 +224,16 @@ def cmd_cite(args, run: _Run) -> None:
     )
     mle_report = mle_estimate(mle_log)
 
-    def side_work() -> tuple:
+    side: list = []  # k_max, the empirical ccdf and samplelog.csv's bytes
+
+    def side_work() -> None:
         k_max = args.k_max or int(replay.in_degrees.max())
-        return k_max, ccdf_from_indegrees(replay.in_degrees, k_max), replay.sample_log.csv_bytes()
+        side.extend((k_max, ccdf_from_indegrees(replay.in_degrees, k_max),
+                     replay.sample_log.csv_bytes()))
 
     # EM iterates on a worker while this thread does the work that does not need it
-    (k_max, emp_ccdf, samplelog_csv), em_trace = _with_em(replay.sample_log, em_cfg, side_work)
+    em_trace = em_estimate(replay.sample_log, em_cfg, side_work)
+    k_max, emp_ccdf, samplelog_csv = side
 
     # theoretical overlays at both estimates (1 up to m_hat) against the empirical ccdf
     overlays = {}

@@ -161,6 +161,10 @@ def stationary_ccdf_closed_form(params: ModelParams, k: int) -> float:
     return float(np.exp(log_f))
 
 
+#: finite_t_pmf drops a top bin's mass below this
+TAIL_TOL = 1e-12
+
+
 class SupportOverflowError(RuntimeError):
     """The finite-time iteration needs a wider support than allowed."""
 
@@ -169,7 +173,6 @@ def finite_t_pmf(
     params: ModelParams,
     seed_stats: tuple,
     steps: int,
-    tail_tol: float = 1e-12,
     max_support: int = 1_000_000,
 ) -> np.ndarray:
     """Iterate the expected-in-degree recurrence for ``steps`` steps.
@@ -216,13 +219,13 @@ def finite_t_pmf(
         n_new[mh] += 1.0
         p = n_new / (n_prev + 1)
         # drop negligible boundary mass so the support tracks the bulk
-        if 0.0 < p[-1] < tail_tol:
+        if 0.0 < p[-1] < TAIL_TOL:
             lost += p[-1]
             p[-1] = 0.0
             if lost > 1e-6:
                 raise SupportOverflowError(
-                    f"dropped tail mass exceeds 1e-6 by step {t}; "
-                    "raise tail_tol precision or max_support"
+                    f"tail mass dropped in bins below {TAIL_TOL} exceeds 1e-6 by step {t}; "
+                    "the pmf cannot be kept to that precision"
                 )
     return p
 

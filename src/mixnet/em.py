@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .likelihood import _sum_log_factors
+from .likelihood import NoInformationError, _sum_log_factors
 from .netmodel import SampleLog
 
 #: a decrease of the objective beyond this slack indicates a bug
@@ -53,35 +53,57 @@ class EmTrace:
     final_alpha: float = float("nan")
 
 
-def em_setup(log: SampleLog, cfg: EmConfig = EmConfig(), split: bool = False):
-    """``em_estimate``'s checks, coefficients and two work buffers, all made on the
-    calling thread; returns ``(steps, stop)``: EM's iteration steps, calls that
-    allocate no arrays, for as many threads to run at once, and a call that makes
-    them stop at their next iteration.  Records with k = 0 (no preferential mass,
-    responsibility identically 0) are dropped unless ``cfg.keep_zero_indegree``.
+def em_estimate(log: SampleLog, cfg: EmConfig = EmConfig(), beside=None) -> EmTrace:
+    """Iterate the EM update from alpha_init until |delta alpha| < epsilon.  Records
+    with k = 0 (responsibility identically 0) are dropped unless
+    ``cfg.keep_zero_indegree``; kept records that all have e = k*n carry no
+    information about alpha and raise NoInformationError.
 
-    There is one step, or with ``split`` two when more than 128 records are kept.
-    The second takes the records from n2 = n//2 - (n//2) % 8 on, where numpy's
-    pairwise sum of n > 128 float64 values makes its first split, so the two
-    parts' sums added give the whole array's sum bit for bit."""
+    With ``beside``, EM iterates on one pool worker while this thread runs
+    ``beside()``.  Without, when more than 128 records are kept, this thread and
+    the worker each take a part, cut at n2 = n//2 - (n//2) % 8: numpy's pairwise sum
+    of n > 128 float64 values splits there first, so the parts' sums added are the
+    whole array's sum bit for bit; a shorter log runs on this thread alone.  EM's
+    error goes before ``beside``'s, a Ctrl-C stops EM at its next iteration, and
+    every array is allocated on this thread."""
     if len(log) == 0:
         raise ValueError("cannot estimate from an empty log")
     kept = (log.k > 0) | cfg.keep_zero_indegree
     if not kept.any():
         raise ValueError("log contains only zero-in-degree records")
+    if (log.e_prev == log.k * log.n_prev)[kept].all():
+        raise NoInformationError("all records are degenerate; likelihood is flat in alpha")
     ke = log.k[kept] / log.e_prev[kept]
     n_prev = log.n_prev[kept].astype(np.float64)
     c = 1.0 / n_prev
     d = ke - c  # _slope_intercept's coefficients
     n = len(ke)
-    cuts = (0, n // 2 - n // 2 % 8, n) if split and n > 128 else (0, n)
+    split = beside is None and n > 128
+    cuts = (0, n // 2 - n // 2 % 8, n) if split else (0, n)
     barrier = threading.Barrier(len(cuts) - 1)
     posts = [[None] * barrier.parties for _ in range(2)]  # by iteration parity, then part
     buffers = np.empty((2, n))
     steps = [partial(_em_iterate, log, kept, d, c, cfg, barrier, posts, i,
                      *(x[lo:hi] for x in (ke, n_prev, d, c, *buffers)))
              for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
-    return steps, barrier.abort
+    if beside is None:
+        if not split:
+            return steps[0]()
+        beside = steps[0]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        try:
+            job = pool.submit(steps[-1])
+            try:
+                beside()
+            except Exception:
+                job.result()  # the worker's error goes first: EM's before beside's
+                raise
+            return job.result()
+        except KeyboardInterrupt:
+            barrier.abort()  # the worker ends at its next iteration, not at EM's end
+            raise
 
 
 def _em_iterate(log, kept, d, c, cfg: EmConfig, barrier, posts, part,
@@ -135,9 +157,3 @@ def _em_iterate(log, kept, d, c, cfg: EmConfig, barrier, posts, part,
     trace.converged = converged
     trace.final_alpha = alpha
     return trace
-
-
-def em_estimate(log: SampleLog, cfg: EmConfig = EmConfig()) -> EmTrace:
-    """Iterate the EM update from alpha_init until |delta alpha| < epsilon."""
-    (step,), _ = em_setup(log, cfg)
-    return step()

@@ -209,6 +209,18 @@ class TestEstimate:
         assert "stride must be >= 1" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("method", ["em", "both"])
+    def test_em_without_information_exits_1(self, tmp_path, capsys, method):
+        # EM drops the k = 0 record, and the other has e = k*n: no alpha is
+        # better than another, so nothing is written rather than alpha_init
+        log_path, out = tmp_path / "flat.csv", tmp_path / "est"
+        log_path.write_text("step,k,e_prev,n_prev\n1,0,5,3\n2,1,4,4\n")
+        assert run(["estimate", log_path, "--method", method, "--out", out]) == 1
+        assert capsys.readouterr().err == \
+            "mixnet: error: all records are degenerate; likelihood is flat in alpha\n"
+        assert not out.exists()
+        assert run(["estimate", log_path, "--keep-zero-indegree", "--out", out]) == 0
+
     @pytest.mark.parametrize("row,message", [
         ("1,3000000000,4000000000,4000000000", "2**53"),
         ("1,1,99999999999999999999999,3", "malformed row"),
@@ -853,6 +865,38 @@ class TestEmWorker:
         assert run(["estimate", samplelog, "--trace", "--out", out]) == 1
         assert capsys.readouterr().err == "mixnet: error: trace failed\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "{log}", "--method", "both"],
+    ["estimate", "{log}", "--method", "both", "--trace", "--stride", 20],
+    ["cite", "{edges}", "{dates}", "--cutoff", "2000-01-02", "--m", 3],
+], ids=["estimate", "estimate-trace", "cite"])
+def test_em_runs_through_one_em_estimate_call(tmp_path, monkeypatch, samplelog, argv):
+    # perfbench's tracer counts EM's iterations by wrapping mixnet.em.em_estimate
+    original, calls = mixnet.em.em_estimate, []
+
+    def traced(*args, **kwargs):
+        trace = original(*args, **kwargs)
+        calls.append((threading.current_thread(), trace))
+        return trace
+
+    monkeypatch.setattr(mixnet.em, "em_estimate", traced)
+    edge_text, dates_text = TestCite.pinned_corpus()
+    files = {"log": samplelog, "edges": tmp_path / "e.txt", "dates": tmp_path / "d.txt"}
+    files["edges"].write_bytes(edge_text.encode())
+    files["dates"].write_bytes(dates_text.encode())
+    out = tmp_path / "out"
+    assert run([str(a).format(**files) for a in argv] + ["--out", out]) == 0
+    assert len(calls) == 1
+    thread, trace = calls[0]
+    assert thread is threading.main_thread() and isinstance(trace, mixnet.em.EmTrace)
+    if argv[0] == "cite":
+        em = json.loads((out / "estimates.json").read_text())["em"]
+        assert em == {"alpha_hat": trace.final_alpha, "converged": trace.converged}
+        return
+    rows = (out / "em_trace.csv").read_text().splitlines()[1:]
+    assert len(trace.iterations) - 1 == len(rows) - 1 > 0
 
 
 class TestSplitEm:

@@ -12,6 +12,7 @@ from mixnet import (
     ModelParams,
     SeedSpec,
     StationaryDistribution,
+    degree_dist,
     finite_t_pmf,
     grow_sequence,
     make_rng,
@@ -235,6 +236,12 @@ class TestFiniteT:
     def test_support_overflow(self):
         with pytest.raises(SupportOverflowError, match="max_support"):
             finite_t_pmf(P536, self.SEED_STATS, 5000, max_support=50)
+
+    def test_dropped_tail_mass_raises(self, monkeypatch):
+        # a tolerance above the top bin's mass drops more than 1e-6 of it
+        monkeypatch.setattr(degree_dist, "TAIL_TOL", 0.5)
+        with pytest.raises(SupportOverflowError, match="tail mass dropped in bins below 0.5"):
+            finite_t_pmf(P536, self.SEED_STATS, 2000)
 
     def test_bad_seed_pmf(self):
         with pytest.raises(ValueError, match="sums to"):

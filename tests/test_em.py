@@ -2,8 +2,8 @@
 
 import math
 import random
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -24,8 +24,8 @@ from mixnet import (
 )
 import mixnet.em
 from mixnet.cli import main
-from mixnet.em import MONOTONICITY_SLACK, _mixture, em_setup
-from mixnet.likelihood import EvaluationError, _sum_log_factors
+from mixnet.em import MONOTONICITY_SLACK, _mixture
+from mixnet.likelihood import EvaluationError, NoInformationError, _sum_log_factors
 
 import conftest
 from conftest import random_log, reference_em_estimate, reference_em_step
@@ -35,6 +35,16 @@ def first_update(log: SampleLog, alpha: float, keep_zero_indegree: bool = False)
     """EM's first update from ``alpha``: the mean responsibility of the records."""
     cfg = EmConfig(alpha_init=alpha, max_iter=1, keep_zero_indegree=keep_zero_indegree)
     return em_estimate(log, cfg).iterations[1][0]
+
+
+def own_update(record: AttachmentRecord, alpha: float) -> float:
+    """``first_update`` of a one-record log; for a record with e = k*n, which EM
+    refuses alone, the E-step's responsibility itself."""
+    single = SampleLog.from_steps([[record]])
+    if record.e_prev == record.k * record.n_prev:
+        pref, total = _mixture(single.k / single.e_prev, single.n_prev.astype(float), alpha)
+        return float(pref[0] / total[0])
+    return first_update(single, alpha)
 
 
 class TestResponsibility:
@@ -69,8 +79,7 @@ class TestSharedEStep:
         rng = random.Random(int(alpha * 100))
         for _ in range(20):
             log = random_log(rng, max_records=40, require_positive_k=True)
-            ones = [first_update(SampleLog.from_steps([[record]]), alpha)
-                    for record in log.drop_zero_indegree().records()]
+            ones = [own_update(record, alpha) for record in log.drop_zero_indegree().records()]
             assert first_update(log, alpha) == float(np.mean(ones))
 
 
@@ -147,6 +156,18 @@ class TestEmEstimate:
         with pytest.raises(ValueError):
             em_estimate(SampleLog.empty())
 
+    def test_no_information_rejected(self):
+        # the one kept record has e = k*n, so every alpha is a fixed point: EM
+        # raises, as the MLE does, instead of reporting alpha_init
+        log = SampleLog(np.array([0, 1]), np.array([5, 4]), np.array([3, 4]), np.array([1, 2]))
+        beside = mock.Mock()
+        for call in (lambda: em_estimate(log), lambda: em_estimate(log, beside=beside)):
+            with pytest.raises(NoInformationError, match="flat in alpha"):
+                call()
+        beside.assert_not_called()
+        # kept, the k = 0 record informs the estimate
+        assert em_estimate(log, EmConfig(keep_zero_indegree=True)).converged
+
     def test_init_independence(self):
         rng = random.Random(3)
         log = random_log(rng, max_records=60)
@@ -203,13 +224,25 @@ def em_inputs(draw):
     return log, cfg
 
 
+def _no_information(log, cfg) -> bool:
+    """Whether the records EM keeps all have e = k*n, so every alpha is a fixed point."""
+    kept = (log.k > 0) | cfg.keep_zero_indegree
+    return bool(kept.any() and (log.e_prev == log.k * log.n_prev)[kept].all())
+
+
 class TestSplitEmMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(inputs=em_inputs())
     def test_trace_bits_and_errors(self, inputs):
         log, cfg = inputs
         with np.errstate(all="ignore"):  # alpha outside [0, 1] divides by zero
-            assert _outcome(em_estimate, log, cfg) == _outcome(reference_em_estimate, log, cfg)
+            reference = _outcome(reference_em_estimate, log, cfg)
+            if _no_information(log, cfg):
+                # the oracle reports a trace that only restates alpha_init
+                assert not isinstance(reference[0], type)
+                reference = (NoInformationError,
+                             "all records are degenerate; likelihood is flat in alpha")
+            assert _outcome(em_estimate, log, cfg) == reference
 
     def test_failing_record_named_by_its_kept_index(self):
         # record 1 of the k > 0 records is record 2 of the log: the text names
@@ -227,7 +260,7 @@ class TestSplitEmMatchesOracle:
 
 
 class TestSplitSumIdentity:
-    """``em_setup(..., split=True)`` cuts the kept records at n2 = n//2 - (n//2) % 8
+    """``em_estimate`` without ``beside`` cuts the kept records at n2 = n//2 - (n//2) % 8
     and adds the two parts' sums: that is numpy's own first split of a pairwise
     sum, so the total has the bits of the whole array's ``sum``/``mean``.  A numpy
     whose pairwise kernel splits elsewhere fails here instead of changing EM's
@@ -272,13 +305,17 @@ def _outcome_of(call):
             np.float64(trace.final_alpha).tobytes())
 
 
-def _split_outcomes(log, cfg):
-    """The outcomes of both steps of a split EM, run at once on two threads."""
-    steps, _ = em_setup(log, cfg, split=True)
-    assert len(steps) == 2
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        second = pool.submit(_outcome_of, steps[1])
-        return _outcome_of(steps[0]), second.result()
+def _outcome_and_parts(log, cfg, beside=None):
+    """``_outcome_of`` ``em_estimate(log, cfg, beside)``, and for each of EM's
+    steps the part it ran and whether it ran on the calling thread."""
+    iterate, parts = mixnet.em._em_iterate, []
+
+    def recorded(*args):
+        parts.append((args[7], threading.current_thread() is threading.main_thread()))
+        return iterate(*args)
+
+    with mock.patch.object(mixnet.em, "_em_iterate", recorded):
+        return _outcome_of(lambda: em_estimate(log, cfg, beside)), sorted(parts)
 
 
 @st.composite
@@ -326,9 +363,11 @@ class TestTwoPartStep:
                 mock.patch.object(conftest, "MONOTONICITY_SLACK", slack), \
                 np.errstate(all="ignore"):
             reference = _outcome_of(lambda: reference_em_estimate(log, cfg))
-            one = _outcome_of(lambda: em_estimate(log, cfg))
-            first, second = _split_outcomes(log, cfg)
-        assert first == second == one == reference
+            one, one_parts = _outcome_and_parts(log, cfg, beside=lambda: None)
+            two, two_parts = _outcome_and_parts(log, cfg)
+        assert two == one == reference
+        # one part on the worker beside the caller's work; split, this thread takes the first
+        assert one_parts == [(0, False)] and two_parts == [(0, True), (1, False)]
         if bad is not None:  # the same kept index and record as the one-part run
             assert one[0] is EvaluationError and one[2] == bad
             assert f"for record {bad} (k={log.k[bad]}," in one[1]
@@ -336,14 +375,16 @@ class TestTwoPartStep:
             assert one[0] is RuntimeError and "EM objective decreased" in one[1]
 
     def test_short_log_keeps_one_part(self):
+        # up to 128 kept records run inline, on the calling thread alone
         rng = random.Random(5)
         log = random_log(rng, max_records=128)
-        steps, _ = em_setup(log, EmConfig(keep_zero_indegree=True), split=True)
-        assert len(steps) == 1
+        _, parts = _outcome_and_parts(log, EmConfig(keep_zero_indegree=True))
+        assert parts == [(0, True)]
 
     def test_stop_ends_a_running_step(self, monkeypatch):
         # the one-part step of cite and estimate --trace, each E-step slowed to
-        # 10 ms, ends at its next iteration
+        # 10 ms, ends at its next iteration when the caller's work is interrupted;
+        # 6,000 iterations bound the test at a minute if it did not
         mixture, calls = mixnet.em._mixture, []
 
         def slow(*args):
@@ -351,11 +392,13 @@ class TestTwoPartStep:
             time.sleep(0.01)
             return mixture(*args)
 
+        def interrupted():
+            raise KeyboardInterrupt
+
         monkeypatch.setattr(mixnet.em, "_mixture", slow)
         log = random_log(random.Random(6), max_records=40)
-        (step,), stop = em_setup(log, EmConfig(epsilon=1e-300, max_iter=10**6))
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            job = pool.submit(step)
-            stop()
-            assert job.result(timeout=60) is None
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            em_estimate(log, EmConfig(epsilon=1e-300, max_iter=6000), beside=interrupted)
         assert len(calls) <= 1
+        assert set(threading.enumerate()) == before

@@ -1,4 +1,4 @@
-"""Smoke test of tools/layers.py: ten layers, one tree against itself."""
+"""Smoke test of tools/layers.py: sixteen layers, one tree against itself."""
 
 import hashlib
 import json
@@ -10,20 +10,21 @@ import mixnet
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "layers.py")
+LAYERS = ["import-cli", "prefix-100-0.6", "trace", "grow-0.6", "grow-step", "simulate",
+          "csv-bytes", "csv-read", "edge-list", "pmf-array", "ccdf-array", "dist-ensemble",
+          "cite-load", "em-0.6", "em2-0.6", "estimate-trace"]
+#: the layers that make no MLE solve
+NO_SOLVE = ("import", "grow", "simulate", "csv", "edge", "pmf", "ccdf", "dist", "cite-load", "em")
 
 
 def test_same_tree_times_and_digests_each_layer():
     src = os.path.dirname(os.path.dirname(mixnet.__file__))
     done = subprocess.run([sys.executable, TOOL, src, src, "--reps", "1", "--steps", "200",
-                           "--papers", "400",
-                           "--layers", "import-cli,prefix-100-0.6,trace,grow-0.6,grow-step,"
-                           "simulate,cite-load,em-0.6,em2-0.6,estimate-trace"],
+                           "--papers", "400", "--layers", ",".join(LAYERS)],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert list(report["layers"]) == ["import-cli", "prefix-100-0.6", "trace", "grow-0.6",
-                                      "grow-step", "simulate", "cite-load", "em-0.6", "em2-0.6",
-                                      "estimate-trace"]
+    assert list(report["layers"]) == LAYERS
     for layer, entry in report["layers"].items():
         assert entry["same"]
         assert entry["change_faster_pairs"] in (0, 1)
@@ -34,8 +35,7 @@ def test_same_tree_times_and_digests_each_layer():
             first = [entry[side].get(f"first_{q}_s") for q in ("q1", "median", "q3")]
             assert sorted(first) == first if layer.startswith("grow") else first == [None] * 3
             assert len(entry[side]["sha256"]) == 64
-            if layer.startswith(("import", "grow", "simulate", "cite-load", "em")):
-                # importing, growth, loading and EM make no MLE solve
+            if layer.startswith(NO_SOLVE):
                 assert entry[side]["passes_per_solve"] == 0
             else:
                 # a warm-started solve at least evaluates the score once

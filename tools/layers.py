@@ -54,14 +54,28 @@ mixnet's growth kernel):
   --m 12 --m-hat 0``, the call of perfbench's ``cite-replay`` workload; its
   result is stdout and the bytes of ``ccdf.csv``, ``estimates.json``,
   ``replay_manifest.json`` and ``samplelog.csv``;
-- ``em-0.6``: ``em_estimate`` on the FIG3 log at alpha 0.6; its result is the
-  iterates, the convergence flag and the estimate;
-- ``em2-0.6``: the same EM split in two parts (``em_setup(..., split=True)``),
-  one run on a pool thread and one on the calling thread, as ``estimate``
-  without a trace runs it; its digest is ``em-0.6``'s.  On a tree whose
-  ``em_setup`` cannot split, it runs ``em_estimate``, so a pair of trees
-  compares the split with one thread;
-- ``cite-em``: ``em_estimate`` on the ``cite-replay`` log;
+- ``em-0.6``: ``em_estimate`` on the FIG3 log at alpha 0.6 in one part, on a
+  pool worker beside an empty ``beside`` call, as ``cite`` and ``estimate
+  --trace`` run it; its result is the iterates, the convergence flag and the
+  estimate;
+- ``em2-0.6``: the same EM split in two parts, the calling thread taking the
+  first and a pool worker the second, as ``estimate`` without a trace runs it
+  (``em_estimate`` without ``beside``); its digest is ``em-0.6``'s.  On a tree
+  whose ``em_estimate`` has no ``beside``, both run what that tree's ``cli``
+  ran: ``em_setup``'s steps, split where ``em_setup`` can split;
+- ``cite-em``: ``em-0.6``'s call on the ``cite-replay`` log;
+- ``csv-bytes`` and ``csv-read``: ``SampleLog.csv_bytes`` of the alpha 0.6
+  FIG3 log, and ``SampleLog.from_csv`` of the file ``to_csv`` wrote from it;
+  their results are the bytes, and the read log's columns;
+- ``edge-list``: ``write_edge_list`` of the network ``grow-0.6`` grows; its
+  result is the file's bytes;
+- ``pmf-array`` and ``ccdf-array``: ``StationaryDistribution.pmf_array`` and
+  ``ccdf_array`` at FIG3's parameters and k-max ``LARGE_K_MAX``; their
+  results are the arrays' bytes;
+- ``dist-ensemble``: ``mixnet.cli.main`` on ``dist --m 5 --m-hat 3 --alpha 0.6
+  --k-max 45 --ensemble 4 --workers 2 --steps <steps> --rng-seed 1``,
+  perfbench's ``ensemble`` call with four members; its result is stdout and
+  the bytes of ``theory.csv`` and ``empirical.csv``;
 - ``trace`` and ``snapshot``: ``mixnet.cli.main`` on ``estimate <log>
   --method mle --trace`` (stride 100), the trace without EM, and on ``estimate
   <log> --trace --snapshot-mode``, with the alpha 0.6 log written as CSV;
@@ -74,9 +88,10 @@ It prints one JSON object: for each layer and side the median and quartiles
 of the timed call in seconds, the sha256 of the layer's result (its reprs,
 its arrays' bytes, or the bytes of the files ``main`` wrote), the
 ``_derivative`` row passes per solve (0 for a layer that solves nothing: the
-import, growth, ``simulate``, redraw, EM, ``cite-load`` and ``cite-replay``
-layers), and whether both sides' results are equal; a ``grow-*`` layer adds
-the median and quartiles of its first calls (``first_*``).  With two sides,
+import, growth, ``simulate``, redraw, EM, ``cite-load``, ``cite-replay``, CSV,
+edge-list, distribution and ``dist-ensemble`` layers), and whether both sides'
+results are equal; a ``grow-*`` layer adds the median and quartiles of its
+first calls (``first_*``).  With two sides,
 each layer also reports in how many of its ``--reps`` pairs of runs (the i-th
 run of each side) the change's call was the faster (and for ``grow-*`` the
 first call, too), which a few-percent move can show when the quartiles of
@@ -104,11 +119,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: the calls a ``grow-*`` run times after its first
 GROW_CALLS = 5
+#: the k-max of the ``pmf-array`` and ``ccdf-array`` layers
+LARGE_K_MAX = 1_000_000
 LAYERS = ("import-cli", "grow-0", "grow-0.6", "grow-1", "grow-step", "simulate", "redraw-2",
-          "redraw-50", "redraw-2-bulk", "redraw-50-bulk", "mle-0", "mle-0.6", "mle-1", "solve-0.6",
-          "prefix-100-0", "prefix-100-0.6", "prefix-100-1", "prefix-5000-0.6", "step-0.6",
-          "em-0.6", "em2-0.6", "cite-load", "cite-replay", "cite-mle", "cite-em", "cite", "trace",
-          "snapshot", "estimate", "estimate-trace")
+          "redraw-50", "redraw-2-bulk", "redraw-50-bulk", "csv-bytes", "csv-read", "edge-list",
+          "mle-0", "mle-0.6", "mle-1", "solve-0.6", "prefix-100-0", "prefix-100-0.6",
+          "prefix-100-1", "prefix-5000-0.6", "step-0.6", "em-0.6", "em2-0.6", "pmf-array",
+          "ccdf-array", "dist-ensemble", "cite-load", "cite-replay", "cite-mle", "cite-em",
+          "cite", "trace", "snapshot", "estimate", "estimate-trace")
 
 
 def perfbench_inputs():
@@ -126,13 +144,19 @@ def fig3_log(alpha: float, steps: int):
     return SampleLog(records.k, records.e_prev, records.n_prev, records.step)
 
 
-def grow(alpha: float, steps: int) -> list:
+def fig3_grown(alpha: float, steps: int) -> tuple:
+    """The network and log ``grow_sequence`` grows at FIG3 and ``alpha`` with
+    ``keep_edges``, from a fresh ``make_rng(1)``."""
     from mixnet import ModelParams, SeedSpec, grow_sequence, make_rng
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the K3 seed has fewer nodes than m
-        net, log = grow_sequence(SeedSpec.complete(3), ModelParams(5, 3, alpha), steps,
-                                 make_rng(1), keep_edges=True)
+        return grow_sequence(SeedSpec.complete(3), ModelParams(5, 3, alpha), steps,
+                             make_rng(1), keep_edges=True)
+
+
+def grow(alpha: float, steps: int) -> list:
+    net, log = fig3_grown(alpha, steps)
     return [a.astype("<i8").tobytes() for a in (log.step, log.k, log.e_prev, log.n_prev,
                                                 net.in_degree, net._edge_sources,
                                                 net._edge_targets)]
@@ -179,29 +203,24 @@ def redraw(steps: int, bulk: bool) -> list:
     raise AssertionError("the redraw bound was not reached")
 
 
-def em_result(log) -> list:
-    """``em_estimate`` on ``log``: its iterates, convergence and estimate."""
-    from mixnet import em_estimate
-
-    trace = em_estimate(log)
-    return [trace.iterations, trace.converged, trace.final_alpha]
-
-
-def em_split_result(log) -> list:
-    """``em_result`` of EM split in two parts, the second run on a pool thread."""
+def em_result(log, split: bool = False) -> list:
+    """``em_estimate`` on ``log``, in one part beside an empty call or ``split``
+    in two: its iterates, convergence and estimate."""
     import inspect
     from concurrent.futures import ThreadPoolExecutor
 
     from mixnet import em
 
-    if "split" not in inspect.signature(em.em_setup).parameters:
-        return em_result(log)
-    steps, _ = em.em_setup(log, split=True)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        job = pool.submit(steps[-1])
-        for step in steps[:-1]:
-            step()
-        trace = job.result()
+    if "beside" in inspect.signature(em.em_estimate).parameters:
+        trace = em.em_estimate(log, beside=None if split else lambda: None)
+    else:  # a tree whose cli ran em_setup's steps, on a pool thread and this one
+        split = split and "split" in inspect.signature(em.em_setup).parameters
+        steps, _ = em.em_setup(log, **({"split": True} if split else {}))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            job = pool.submit(steps[-1])
+            for step in steps[:-1]:
+                step()
+            trace = job.result()
     return [trace.iterations, trace.converged, trace.final_alpha]
 
 
@@ -288,8 +307,41 @@ def prepare(layer: str, steps: int, papers: int, work: Path):
         log = fig3_log(float(rest[0]), steps)
         return lambda: likelihood.step_estimates(log), len
     if kind in ("em", "em2"):
-        log, run = fig3_log(float(rest[0]), steps), em_result if kind == "em" else em_split_result
-        return lambda: run(log), lambda result: 0
+        log = fig3_log(float(rest[0]), steps)
+        return lambda: em_result(log, split=kind == "em2"), lambda result: 0
+    if kind == "csv":
+        from mixnet import SampleLog
+
+        log, path = fig3_log(0.6, steps), work / "samplelog.csv"
+        if rest == ["bytes"]:
+            return lambda: [bytes(log.csv_bytes())], lambda result: 0
+        log.to_csv(path)
+
+        def read() -> list:
+            back = SampleLog.from_csv(path)
+            return [a.astype("<i8").tobytes() for a in (back.step, back.k, back.e_prev,
+                                                        back.n_prev)]
+
+        return read, lambda result: 0
+    if kind == "edge":
+        from mixnet.netmodel import write_edge_list
+
+        net, _ = fig3_grown(0.6, steps)
+
+        def write() -> list:
+            write_edge_list(net, work / "graph.edgelist")
+            return [(work / "graph.edgelist").read_bytes()]
+
+        return write, lambda result: 0
+    if kind in ("pmf", "ccdf"):
+        from mixnet import ModelParams, StationaryDistribution
+
+        array = getattr(StationaryDistribution(ModelParams(5, 3, 0.6)), f"{kind}_array")
+        return lambda: [array(LARGE_K_MAX).tobytes()], lambda result: 0
+    if kind == "dist":
+        argv = ["dist", "--m", "5", "--m-hat", "3", "--alpha", "0.6", "--k-max", "45",
+                "--ensemble", "4", "--workers", "2", "--steps", str(steps), "--rng-seed", "1"]
+        return main_call(argv, work, ("theory.csv", "empirical.csv")), lambda result: 0
     if kind == "cite":
         return cite_layer("".join(rest), papers, work)
     path = work / "samplelog.csv"
