@@ -158,14 +158,16 @@ def cmd_estimate(args, run: _Run) -> None:
 
 
 def _ensemble_member(job) -> np.ndarray:
-    seed_spec, params, steps, rng_seed, stream = job
-    rng = make_rng(rng_seed, stream)
-    net, _ = grow_sequence(seed_spec, params, steps, rng)
-    return net.in_degree_array()
+    """One member's empirical CCDF, from a network grown without records."""
+    from .degree_dist import ccdf_from_indegrees
+
+    seed_spec, params, steps, rng_seed, stream, k_max = job
+    net, _ = grow_sequence(seed_spec, params, steps, make_rng(rng_seed, stream), records=False)
+    return ccdf_from_indegrees(net.in_degree_array(), k_max)
 
 
 def cmd_dist(args, run: _Run) -> None:
-    from .degree_dist import StationaryDistribution, ccdf_from_indegrees
+    from .degree_dist import StationaryDistribution
 
     params = ModelParams(m=args.m, m_hat=args.m_hat, alpha=args.alpha)
     if args.k_max < params.m_hat:
@@ -174,6 +176,8 @@ def cmd_dist(args, run: _Run) -> None:
         raise ValueError(f"ensemble must be >= 0 (0: theory only), got {args.ensemble}")
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
+    if args.steps < 0:
+        raise ValueError(f"steps must be >= 0, got {args.steps}")
 
     dist = StationaryDistribution(params)
     ks = range(params.m_hat, args.k_max + 1)
@@ -183,7 +187,7 @@ def cmd_dist(args, run: _Run) -> None:
         print(f"rng seed: {args.rng_seed}")
         seed_spec = _resolve_seed_spec(args.seed_spec)
         jobs = [
-            (seed_spec, params, args.steps, args.rng_seed, i)
+            (seed_spec, params, args.steps, args.rng_seed, i, args.k_max)
             for i in range(args.ensemble)
         ]
         workers = min(args.workers, args.ensemble)  # a pool starts all its workers at once
@@ -191,12 +195,10 @@ def cmd_dist(args, run: _Run) -> None:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                degree_arrays = list(pool.map(_ensemble_member, jobs))
+                ccdfs = list(pool.map(_ensemble_member, jobs))
         else:
-            degree_arrays = [_ensemble_member(job) for job in jobs]
-        mean_ccdf = np.mean(
-            [ccdf_from_indegrees(d, args.k_max) for d in degree_arrays], axis=0
-        )
+            ccdfs = [_ensemble_member(job) for job in jobs]
+        mean_ccdf = np.mean(ccdfs, axis=0)
 
     run.write_csv("theory.csv", ["k", "pmf", "ccdf"], zip(ks, pmf.tolist(), ccdf.tolist()))
     if args.ensemble:

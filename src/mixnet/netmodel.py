@@ -411,8 +411,17 @@ class _Growth:
             self.draws.i += stop * width
         return stop, size
 
-    def finish(self, net: GrowingNetwork, steps: int) -> "SampleLog":
-        """Give the network its new edge arrays and in-degrees; return the records."""
+    def finish(self, net: GrowingNetwork, steps: int, records: bool) -> "SampleLog":
+        """Give the network its new edge arrays and in-degrees; return the
+        records, or an empty log without them."""
+        log = self.log(net.in_degree, steps) if records else SampleLog.empty()
+        in_degree = np.bincount(self.targets[self.e0:], minlength=self.n0 + steps)
+        in_degree[:self.n0] += net.in_degree
+        net.in_degree, net._edge_targets, net._edge_sources = in_degree, self.targets, self.sources
+        return log
+
+    def log(self, entry: np.ndarray, steps: int) -> "SampleLog":
+        """The records, given the in-degrees the call started from."""
         # the picks, one per record, are each step's first new slots; k =
         # entry in-degree + earlier picks of the same node (one per step), a
         # new node entering with its responses; the rank keys fit in int64
@@ -420,19 +429,16 @@ class _Growth:
         records = np.arange(int(self.per_step.sum()))
         first = np.cumsum(self.per_step) - self.per_step  # each step's first record
         picks = self.targets[records + np.repeat(self.e_prev - first, self.per_step)]
-        earlier, nodes, sizes = _repeat_rank(picks)
-        in_degree = np.concatenate([net.in_degree, self.responses])
-        k = in_degree[picks] + earlier
-        in_degree[nodes] += sizes
-        net.in_degree, net._edge_targets, net._edge_sources = in_degree, self.targets, self.sources
+        k = np.concatenate([entry, self.responses])[picks] + _repeat_rank(picks)[0]
         return SampleLog(k, np.repeat(self.e_prev, self.per_step),
                          np.repeat(self.n_prev, self.per_step),
                          np.repeat(np.arange(1, steps + 1), self.per_step))
 
 
 def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
-          rng: random.Random) -> "SampleLog":
-    """Advance ``net`` by ``steps`` steps in place; return their records.
+          rng: random.Random, records: bool = True) -> "SampleLog":
+    """Advance ``net`` by ``steps`` steps in place; return their records, or
+    with ``records=False`` an empty log (the network and ``rng`` are the same).
 
     The result, ``net`` and the state of ``rng`` afterwards equal those of
     the model drawn one attachment at a time: each of a step's m targets
@@ -510,7 +516,7 @@ def _grow(net: GrowingNetwork, params: ModelParams, steps: int,
         growth.draws.rewind()
         raise
     growth.draws.write_back()
-    return growth.finish(net, steps)
+    return growth.finish(net, steps, records)
 
 
 def grow_step(
@@ -687,13 +693,15 @@ def grow_sequence(
     steps: int,
     rng: random.Random,
     keep_edges: bool = False,
+    records: bool = True,
 ) -> tuple[GrowingNetwork, SampleLog]:
-    """Run ``steps`` growth steps from the seed; deterministic given rng state."""
+    """Run ``steps`` growth steps from the seed; deterministic given rng state.
+    With ``records=False`` the log is empty, and only the network is built."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     seed.validate(params)
     net = GrowingNetwork.from_seed(seed, keep_edges=keep_edges)
-    return net, _grow(net, params, steps, rng)
+    return net, _grow(net, params, steps, rng, records)
 
 
 def make_rng(seed: int, stream: int = 0) -> random.Random:

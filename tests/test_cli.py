@@ -334,11 +334,12 @@ class TestDist:
         assert seen == pools
         assert read_manifest(tmp_path)["params"]["workers"] == workers
 
-    def test_pool_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("alpha", [0, 0.6, 1])
+    def test_pool_matches_serial(self, tmp_path, alpha):
         outputs = []
         for workers in (2, 1):
             out = tmp_path / f"w{workers}"
-            assert run(["dist", "--m", 5, "--m-hat", 3, "--alpha", 0.6, "--k-max", 30,
+            assert run(["dist", "--m", 5, "--m-hat", 3, "--alpha", alpha, "--k-max", 30,
                         "--ensemble", 3, "--steps", 300, "--workers", workers,
                         "--out", out]) == 0
             outputs.append((out / "empirical.csv").read_bytes())
@@ -759,6 +760,8 @@ def test_env_out_dir(tmp_path, monkeypatch):
       "--workers", -2], "workers must be >= 1"),
     (["dist", "--m", 2, "--alpha", 0.5, "--k-max", 9, "--ensemble", 2, "--steps", -5],
      "steps must be >= 0"),
+    (["dist", "--m", 2, "--alpha", 0.5, "--k-max", 9, "--ensemble", 2, "--workers", 2,
+      "--steps", -3], "steps must be >= 0"),
     (["dist", "--m", 5, "--m-hat", 3, "--alpha", 0.6, "--k-max", 2],
      "k-max 2 below the support start"),
     (["estimate", "no.csv", "--trace", "--stride", 0], "stride must be >= 1"),
@@ -767,13 +770,14 @@ def test_env_out_dir(tmp_path, monkeypatch):
      "epsilon must be positive and finite"),
     (["estimate", "no.csv", "--epsilon", "nan"], "epsilon must be positive and finite"),
 ], ids=["cite-cutoff", "cite-m", "dist-ensemble", "dist-workers", "dist-ensemble-workers",
-        "dist-steps", "dist-k-max", "estimate-stride", "simulate-alpha", "cite-epsilon",
-        "estimate-epsilon"])
+        "dist-steps", "dist-workers-steps", "dist-k-max", "estimate-stride", "simulate-alpha",
+        "cite-epsilon", "estimate-epsilon"])
 def test_rejected_flag_exits_1_without_output_dir(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert run(argv + ["--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("mixnet: error:") and message in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("mixnet: error:") and message in captured.err
+    assert captured.out == ""  # rejected before anything is printed or forked
     assert not out.exists()
 
 

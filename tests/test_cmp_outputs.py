@@ -20,7 +20,8 @@ OUTPUTS = {
     "estimate-em-zeros": ["em_trace.csv", "estimate.json", "manifest.json", "trace.csv"],
     **{f"split-{a}": ["em_trace.csv", "estimate.json", "manifest.json"]
        for a in ("0", "0.6", "1", "em-zeros")},
-    "dist": ["empirical.csv", "manifest.json", "theory.csv"],
+    **{name: ["empirical.csv", "manifest.json", "theory.csv"]
+       for name in ("dist", "dist-serial-0", "dist-serial-1")},
     **{call: ["ccdf.csv", "estimates.json", "manifest.json", "replay_manifest.json",
               "samplelog.csv"] for call in ("cite", "cite-em-zeros", "cite-mixed")},
 }

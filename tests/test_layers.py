@@ -1,4 +1,4 @@
-"""Smoke test of tools/layers.py: sixteen layers, one tree against itself."""
+"""Smoke test of tools/layers.py: seventeen layers, one tree against itself."""
 
 import hashlib
 import json
@@ -10,9 +10,9 @@ import mixnet
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "layers.py")
-LAYERS = ["import-cli", "prefix-100-0.6", "trace", "grow-0.6", "grow-step", "simulate",
-          "csv-bytes", "csv-read", "edge-list", "pmf-array", "ccdf-array", "dist-ensemble",
-          "cite-load", "em-0.6", "em2-0.6", "estimate-trace"]
+LAYERS = ["import-cli", "prefix-100-0.6", "trace", "grow-0.6", "grow-degrees-0.6", "grow-step",
+          "simulate", "csv-bytes", "csv-read", "edge-list", "pmf-array", "ccdf-array",
+          "dist-ensemble", "cite-load", "em-0.6", "em2-0.6", "estimate-trace"]
 #: the layers that make no MLE solve
 NO_SOLVE = ("import", "grow", "simulate", "csv", "edge", "pmf", "ccdf", "dist", "cite-load", "em")
 

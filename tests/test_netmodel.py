@@ -353,24 +353,30 @@ class TestGrowthKernel:
         extra_steps=st.integers(0, 4),
         stream=st.integers(0, 1000),
         bulk=st.booleans(),
+        records=st.booleans(),
     )
     def test_matches_reference_loop(self, m, m_hat, alpha, seed_nodes, steps, keep_edges,
-                                    extra_steps, stream, bulk):
+                                    extra_steps, stream, bulk, records):
         # bulk: every call draws through numpy's MT19937, else through rng.random()
         # just below alpha = 1 without responses, a step short of nodes with
         # positive in-degree redraws about 1 / (1 - alpha) times, in either form
+        # records=False: the kernel's call returns an empty log; the network,
+        # the rng and the grow_step calls after it are the loop's
         assume(m_hat > 0 or alpha <= 0.99 or alpha == 1.0)
         seed, params = SeedSpec.complete(seed_nodes), ModelParams(m=m, m_hat=m_hat, alpha=alpha)
         nets, rngs, outcomes = [], [], []
-        for first, then in [(_grow, _grow_one), (reference_grow, reference_grow)]:
+        kernel = _grow if records else _without_records
+        for first, then in [(kernel, _grow_one), (reference_grow, reference_grow)]:
             net, rng = GrowingNetwork.from_seed(seed, keep_edges=keep_edges), make_rng(stream)
             with mock.patch.object(netmodel, "_BULK_MIN", 0 if bulk else 2**62):
-                records = [_outcome(first, net, params, steps, rng)]
-                records += [_outcome(then, net, params, 1, rng) for _ in range(extra_steps)]
+                logs = [_outcome(first, net, params, steps, rng)]
+                logs += [_outcome(then, net, params, 1, rng) for _ in range(extra_steps)]
             nets.append(net)
             rngs.append(rng.getstate())
-            outcomes.append(records)
+            outcomes.append(logs)
         kernel, loop = nets
+        if not (records or isinstance(outcomes[1][0], str)):  # the loop's log, if it grew
+            outcomes[1][0] = []
         assert outcomes[0] == outcomes[1]
         assert kernel.in_degree.tolist() == loop.in_degree.tolist()
         assert kernel._edge_targets.tolist() == loop._edge_targets.tolist()
@@ -382,11 +388,19 @@ class TestGrowthKernel:
     def test_pure_preferential_error_unchanged(self):
         params = ModelParams(m=3, m_hat=0, alpha=1.0)
         errors = []
-        for grow in (_grow, reference_grow):
+        for grow in (_grow, _without_records, reference_grow):
             net = GrowingNetwork.from_seed(SeedSpec.complete(2))
             errors.append(_outcome(grow, net, params, 5, make_rng(0)))
-        assert errors[0] == errors[1]
+        assert errors[0] == errors[1] == errors[2]
         assert "alpha=1 with m_hat=0 needs 3 nodes" in errors[0]
+        # without records, the redraw-bound error leaves net and rng untouched
+        # (K2, m=3, m_hat=0: step 2 needs the new node, of in-degree 0)
+        net, rng = GrowingNetwork.from_seed(SeedSpec.complete(2)), make_rng(0)
+        entry = rng.getstate()
+        with pytest.raises(StructuralError, match="step 2 drew"):
+            _without_records(net, ModelParams(m=3, m_hat=0, alpha=1 - 1e-9), 2, rng)
+        assert net.in_degree.tolist() == [1, 1] and net._edge_targets.tolist() == [1, 0]
+        assert rng.getstate() == entry
 
     @pytest.mark.parametrize("steps", [2, 50])
     @pytest.mark.parametrize("bulk", [True, False])
@@ -453,6 +467,13 @@ class TestGrowthKernel:
             grow_sequence(SeedSpec.complete(4), params, 10, Fixed(0))
         with pytest.raises(TypeError, match="random.Random"):
             grow_step(GrowingNetwork.from_seed(SeedSpec.complete(4)), params, Fixed(0))
+
+
+def _without_records(net, params, steps, rng):
+    """The kernel's call without records, which must return an empty log."""
+    log = _grow(net, params, steps, rng, records=False)
+    assert type(log) is SampleLog and not len(log)
+    return log
 
 
 def _grow_one(net, params, steps, rng):

@@ -25,7 +25,9 @@ side's own directory under a temporary one:
   --stride 500`` on an alpha 0.6 log grown with m_hat=0, whose k=0 records
   stay in the EM input, and ``split-em-zeros``, the same call without the
   trace;
-- ``dist --m 5 --m-hat 3 --alpha 0.6 --k-max 45 --ensemble 3 --workers 2``;
+- ``dist --m 5 --m-hat 3 --alpha 0.6 --k-max 45 --ensemble 3 --workers 2``,
+  whose members grow on a process pool, and ``dist-serial-A``, the same call
+  at alpha 0 and 1 with ``--workers 1``, whose members grow one after another;
 - ``cite`` on the seed-0 pair of ``perfbench/inputs.py`` (10,000 papers), and
   ``cite-em-zeros``, the same call with ``--drop-zero-indegree-mle
   --keep-zero-indegree-em``, so both of EM's inputs run on its worker thread;
@@ -108,6 +110,10 @@ def calls(steps: int, cite_argv: list, seed_path: str, logs: dict, mixed: list) 
                                    "--keep-zero-indegree"]))
     out.append(("dist", ["dist", "--m", "5", "--m-hat", "3", "--alpha", "0.6", "--k-max", "45",
                          "--ensemble", "3", "--workers", "2", "--steps", str(steps)]))
+    for alpha in ("0", "1"):
+        out.append((f"dist-serial-{alpha}", [
+            "dist", "--m", "5", "--m-hat", "3", "--alpha", alpha, "--k-max", "45",
+            "--ensemble", "3", "--workers", "1", "--steps", str(steps)]))
     out.append(("cite", cite_argv))
     out.append(("cite-em-zeros", [*cite_argv, "--drop-zero-indegree-mle",
                                   "--keep-zero-indegree-em"]))

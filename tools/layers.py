@@ -23,6 +23,11 @@ mixnet's growth kernel):
 - ``grow-A``: ``grow_sequence`` at FIG3 and alpha A (0, 0.6, 1) with
   ``keep_edges``, each call from a fresh ``make_rng(1)``; its result is the
   bytes of the log's columns, the in-degrees and both edge arrays;
+- ``grow-degrees-0.6``: ``grow_sequence`` at FIG3 and alpha 0.6 with
+  ``records=False``, as ``dist --ensemble`` grows a member, each call from a
+  fresh ``make_rng(1)``; its result is the bytes of the in-degrees and the
+  edge targets, and the rng state after the call.  On a tree whose
+  ``grow_sequence`` has no ``records``, it grows with records;
 - ``grow-step``: 200 ``grow_step`` calls at FIG3 and alpha 0.6 on the network
   ``grow_sequence`` grows in ``--steps`` steps from ``make_rng(1)`` (without
   edge storage), each call from that network and the rng state it left; its
@@ -121,12 +126,12 @@ ROOT = Path(__file__).resolve().parent.parent
 GROW_CALLS = 5
 #: the k-max of the ``pmf-array`` and ``ccdf-array`` layers
 LARGE_K_MAX = 1_000_000
-LAYERS = ("import-cli", "grow-0", "grow-0.6", "grow-1", "grow-step", "simulate", "redraw-2",
-          "redraw-50", "redraw-2-bulk", "redraw-50-bulk", "csv-bytes", "csv-read", "edge-list",
-          "mle-0", "mle-0.6", "mle-1", "solve-0.6", "prefix-100-0", "prefix-100-0.6",
-          "prefix-100-1", "prefix-5000-0.6", "step-0.6", "em-0.6", "em2-0.6", "pmf-array",
-          "ccdf-array", "dist-ensemble", "cite-load", "cite-replay", "cite-mle", "cite-em",
-          "cite", "trace", "snapshot", "estimate", "estimate-trace")
+LAYERS = ("import-cli", "grow-0", "grow-0.6", "grow-1", "grow-degrees-0.6", "grow-step",
+          "simulate", "redraw-2", "redraw-50", "redraw-2-bulk", "redraw-50-bulk", "csv-bytes",
+          "csv-read", "edge-list", "mle-0", "mle-0.6", "mle-1", "solve-0.6", "prefix-100-0",
+          "prefix-100-0.6", "prefix-100-1", "prefix-5000-0.6", "step-0.6", "em-0.6", "em2-0.6",
+          "pmf-array", "ccdf-array", "dist-ensemble", "cite-load", "cite-replay", "cite-mle",
+          "cite-em", "cite", "trace", "snapshot", "estimate", "estimate-trace")
 
 
 def perfbench_inputs():
@@ -160,6 +165,22 @@ def grow(alpha: float, steps: int) -> list:
     return [a.astype("<i8").tobytes() for a in (log.step, log.k, log.e_prev, log.n_prev,
                                                 net.in_degree, net._edge_sources,
                                                 net._edge_targets)]
+
+
+def grow_degrees(alpha: float, steps: int) -> list:
+    """The ``grow-degrees-A`` call: FIG3 growth without records where the
+    tree's ``grow_sequence`` can skip them."""
+    import inspect
+
+    from mixnet import ModelParams, SeedSpec, grow_sequence, make_rng
+
+    rng = make_rng(1)
+    skip = {"records": False} if "records" in inspect.signature(grow_sequence).parameters else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the K3 seed has fewer nodes than m
+        net, _ = grow_sequence(SeedSpec.complete(3), ModelParams(5, 3, alpha), steps, rng, **skip)
+    return [net.in_degree.astype("<i8").tobytes(), net._edge_targets.astype("<i8").tobytes(),
+            rng.getstate()]
 
 
 def grow_steps(steps: int):
@@ -285,6 +306,8 @@ def prepare(layer: str, steps: int, papers: int, work: Path):
     kind, *rest = layer.split("-")
     if kind == "grow" and rest == ["step"]:
         return grow_steps(steps), lambda result: 0
+    if kind == "grow" and rest[0] == "degrees":
+        return lambda: grow_degrees(float(rest[1]), steps), lambda result: 0
     if kind == "grow":
         return lambda: grow(float(rest[0]), steps), lambda result: 0
     if kind == "simulate":
